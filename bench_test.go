@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -286,7 +287,7 @@ func BenchmarkSparseAnalysis(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		csr, _, err := netsim.GenerateCSR(s, net, 7, 0, netsim.Params{Duration: 8})
+		csr, _, err := netsim.GenerateCSRArena(context.Background(), nil, s, net, 7, 0, netsim.Params{Duration: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -456,7 +457,7 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 			b.ReportAllocs()
 			events := 0
 			for i := 0; i < b.N; i++ {
-				_, stats, err := netsim.GenerateMatrix(s, net, 7, workers, p)
+				_, stats, err := netsim.GenerateCSRArena(context.Background(), nil, s, net, 7, workers, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -481,7 +482,7 @@ func BenchmarkTraceThroughput(b *testing.B) {
 			b.ReportAllocs()
 			events := 0
 			for i := 0; i < b.N; i++ {
-				trace, err := netsim.GenerateTrace(s, net, 7, workers, p)
+				trace, err := netsim.GenerateTraceArena(context.Background(), nil, s, net, 7, workers, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -513,7 +514,7 @@ func BenchmarkCOOMerge(b *testing.B) {
 			b.StopTimer()
 			parts := build()
 			b.StartTimer()
-			if _, err := matrix.MergeCOO(parts...); err != nil {
+			if _, err := matrix.MergeCOOArena(context.Background(), nil, parts...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -569,7 +570,7 @@ func BenchmarkComposedScenario(b *testing.B) {
 			b.ReportAllocs()
 			events := 0
 			for i := 0; i < b.N; i++ {
-				csr, stats, err := netsim.GenerateCSR(s, net, 7, workers, p)
+				csr, stats, err := netsim.GenerateCSRArena(context.Background(), nil, s, net, 7, workers, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -592,7 +593,7 @@ func BenchmarkPermuteCSR(b *testing.B) {
 	if !ok {
 		b.Fatal("background scenario missing")
 	}
-	csr, _, err := netsim.GenerateCSR(s, net, 7, 0, netsim.Params{Duration: 60, Rate: 4000})
+	csr, _, err := netsim.GenerateCSRArena(context.Background(), nil, s, net, 7, 0, netsim.Params{Duration: 60, Rate: 4000})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"reflect"
@@ -55,7 +56,7 @@ func main() {
 	}
 
 	// Generate on the sparse path and disentangle the layers.
-	csr, stats, err := netsim.GenerateCSR(composed, net, 42, 0, p)
+	csr, stats, err := netsim.GenerateCSRArena(context.Background(), nil, composed, net, 42, 0, p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func main() {
 	// symmetric permutation of the matrix — the algebraic fact that
 	// makes relabeled variants of one scenario distinct exercises.
 	mapping := map[string]string{"WS1": "WS3", "WS3": "WS1"}
-	relabeled, _, err := netsim.GenerateCSR(netsim.Relabel(composed, mapping), net, 42, 0, p)
+	relabeled, _, err := netsim.GenerateCSRArena(context.Background(), nil, netsim.Relabel(composed, mapping), net, 42, 0, p)
 	if err != nil {
 		log.Fatal(err)
 	}

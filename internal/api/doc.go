@@ -26,7 +26,7 @@
 //     scenario — hits the cache after the first generation.
 //     Cancelled or failed runs never enter the cache. GenerateStream
 //     is the deliberate exception: it delivers NDJSON-ready frames
-//     (meta, one per sealed window as netsim.StreamCSR finalizes it,
+//     (meta, one per sealed window as netsim.StreamCSRArena finalizes it,
 //     then summary — see StreamFrame, EncodeFrame, FrameDecoder) and
 //     bypasses the cache and request coalescing entirely, since a
 //     partially consumed stream must never seed either.

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/netsim"
+	"repro/internal/patterns"
 )
 
 // normalizeResult strips the per-call fields (timings are wall-clock,
@@ -208,5 +211,95 @@ func TestPooledMatchesReference(t *testing.T) {
 	}
 	if st := ref.ArenaStats(); st.Entries.Gets != 0 || st.Events.Gets != 0 {
 		t.Fatalf("reference service touched an arena: %+v", st)
+	}
+}
+
+// traceChainResult rebuilds a cold result the way Generate computed it
+// before it drained the streaming engine: materialize and sort the
+// whole trace, split it with WindowsCSRArena over the configured
+// duration, and fold it with SparseMatrixArena. It shares only the
+// reading builders (windowResult, analyzeMatrix) with the service, so
+// it is an independent reference for every generated byte.
+func traceChainResult(t *testing.T, req GenerateRequest) *GenerateResult {
+	t.Helper()
+	ctx := context.Background()
+	scn, err := resolveSpec(req.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netsim.ScaledNetwork(req.Hosts)
+	zones, err := net.Zones()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := req.params().Normalized()
+	trace, err := netsim.GenerateTraceArena(ctx, nil, scn, net, req.Seed, req.Workers, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &GenerateResult{
+		Version: Version, Spec: netsim.SpecString(scn), Scenario: scn.Name(), Shape: scn.Shape(),
+		Hosts: net.Len(), Seed: req.Seed, Workers: req.Workers, Duration: p.Duration,
+		Events: len(trace), Packets: trace.TotalPackets(), Labels: net.Labels(),
+		Network: net, Zones: zones,
+	}
+	if sched, ok := scn.(netsim.Scheduler); ok {
+		for _, ph := range sched.Schedule(p) {
+			res.Schedule = append(res.Schedule, Phase{Label: ph.Label, Start: ph.Start, End: ph.End})
+		}
+	}
+	if _, ok := scn.(netsim.Composite); ok {
+		for _, leaf := range netsim.Leaves(scn) {
+			res.ComposedOf = append(res.ComposedOf, leaf.Name())
+		}
+	}
+	if req.Window > 0 {
+		windows, err := trace.WindowsCSRArena(ctx, nil, net, req.Window, p.Duration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roles, rolesErr := patterns.AssignDDoSRoles(zones)
+		for k, w := range windows {
+			res.Windows = append(res.Windows, windowResult(k, w, zones, roles, rolesErr, res.Labels))
+		}
+	}
+	csr, _ := trace.SparseMatrixArena(nil, net)
+	res.Aggregate = analyzeMatrix(csr, zones)
+	res.AggregateCSR = csr
+	return res
+}
+
+// TestGenerateMatchesTraceChain pins that serving batch Generate from
+// the streaming engine changed no response byte: for every catalog
+// entry and two compositions, at workers 1/4/16, unwindowed and with
+// a window that does not divide the duration, with and without dense
+// cells, the wire JSON equals the trace-chain reference. The service
+// caches nothing, so every request takes the cold path; it pools, so
+// the arena recycles across cases.
+func TestGenerateMatchesTraceChain(t *testing.T) {
+	svc := New(WithCacheCapacity(0))
+	specs := []string{"overlay(background, sequence(scan, ddos))", "sequence(scan, attack)"}
+	for _, s := range netsim.Scenarios() {
+		specs = append(specs, s.Name())
+	}
+	for _, spec := range specs {
+		for _, workers := range []int{1, 4, 16} {
+			for _, window := range []float64{0, 7} {
+				req := NewGenerateRequest(spec, WithSeed(11), WithHosts(40), WithWorkers(workers),
+					WithParams(20, 10, 1), WithWindow(window))
+				ref := traceChainResult(t, req)
+				for _, dense := range []bool{false, true} {
+					req.IncludeMatrices = dense
+					got, err := svc.Generate(context.Background(), req)
+					if err != nil {
+						t.Fatalf("%s workers=%d window=%g: %v", spec, workers, window, err)
+					}
+					if normalizeResult(t, got) != normalizeResult(t, finishResult(ref, false, dense)) {
+						t.Fatalf("%s workers=%d window=%g cells=%v: response differs from the trace chain",
+							spec, workers, window, dense)
+					}
+				}
+			}
+		}
 	}
 }

@@ -76,10 +76,9 @@ type Phase struct {
 // Timings reports the run's wall-clock split. Durations marshal as
 // nanoseconds.
 type Timings struct {
-	// Generate covers event generation on the worker pool.
+	// Generate covers event generation on the worker pool, including
+	// the per-window and whole-run folds that run inside it.
 	Generate time.Duration `json:"generate_ns"`
-	// Aggregate covers the sparse fold of the trace into a CSR.
-	Aggregate time.Duration `json:"aggregate_ns"`
 	// Analyze covers profiling and every classifier pass.
 	Analyze time.Duration `json:"analyze_ns"`
 }

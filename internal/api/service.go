@@ -133,7 +133,9 @@ func (svc *Service) resolveWorkers(requested int) int {
 
 // Generate runs the full pipeline for the request: deterministic
 // event generation on the worker pool, the optional per-window view,
-// and the aggregate sparse-path analysis. Repeated requests for the
+// and the aggregate sparse-path analysis. A cold run is a drained
+// stream: it shares cold with GenerateStream and collects the
+// windows instead of sending them. Repeated requests for the
 // same canonical spec and parameters are served from the LRU cache,
 // and concurrent identical cold requests coalesce onto one run.
 // Cancelling ctx aborts the sharded generation mid-run; a cancelled
@@ -155,10 +157,15 @@ func (svc *Service) Generate(ctx context.Context, req GenerateRequest) (*Generat
 	res, shared, err := svc.flights.do(ctx, key, func() (any, error) {
 		fctx, end := svc.sessions.Begin(ctx, "generate", key)
 		defer end()
-		r, err := svc.generate(fctx, scn, canonical, net, req)
+		var windows []WindowResult
+		r, err := svc.cold(fctx, scn, canonical, net, req, nil, func(wr WindowResult) error {
+			windows = append(windows, wr)
+			return nil
+		})
 		if err != nil {
 			return nil, sessionErr(fctx, err)
 		}
+		r.Windows = windows
 		svc.cache.Put(key, r)
 		return r, nil
 	})
@@ -219,22 +226,22 @@ func finishResult(res *GenerateResult, hit, includeMatrices bool) *GenerateResul
 	return &out
 }
 
-// generate is the cold path behind Generate.
-func (svc *Service) generate(ctx context.Context, scn netsim.Scenario, canonical string, net *netsim.Network, req GenerateRequest) (*GenerateResult, error) {
+// cold is the one cold path behind Generate and GenerateStream. It
+// builds the result header, shows it to start (the stream's meta
+// frame; nil for batch), and runs the generation engine: a windowed
+// request drains netsim.StreamCSRArena, handing each sealed window's
+// readings to onWindow in index order, and an unwindowed one takes
+// the bare aggregate from netsim.GenerateCSRArena. Neither
+// materializes a trace. It ends with the aggregate analysis; the
+// caller decides what the windows become (batch collects them,
+// streams send them).
+func (svc *Service) cold(ctx context.Context, scn netsim.Scenario, canonical string, net *netsim.Network, req GenerateRequest, start func(*GenerateResult) error, onWindow func(WindowResult) error) (*GenerateResult, error) {
 	zones, err := net.Zones()
 	if err != nil {
 		return nil, err
 	}
 	workers := svc.resolveWorkers(req.Workers)
 	p := req.params().Normalized()
-
-	genStart := time.Now()
-	trace, err := netsim.GenerateTraceArena(ctx, svc.arena, scn, net, req.Seed, workers, p)
-	if err != nil {
-		return nil, err
-	}
-	genElapsed := time.Since(genStart)
-
 	res := &GenerateResult{
 		Version:  Version,
 		Spec:     canonical,
@@ -244,8 +251,6 @@ func (svc *Service) generate(ctx context.Context, scn netsim.Scenario, canonical
 		Seed:     req.Seed,
 		Workers:  workers,
 		Duration: p.Duration,
-		Events:   len(trace),
-		Packets:  trace.TotalPackets(),
 		Labels:   net.Labels(),
 		Network:  net,
 		Zones:    zones,
@@ -260,35 +265,34 @@ func (svc *Service) generate(ctx context.Context, scn netsim.Scenario, canonical
 			res.ComposedOf = append(res.ComposedOf, leaf.Name())
 		}
 	}
-
-	if req.Window > 0 {
-		windows, err := trace.WindowsCSRArena(ctx, svc.arena, net, req.Window, p.Duration)
-		if err != nil {
-			svc.arena.ReleaseTrace(trace)
+	if start != nil {
+		if err := start(res); err != nil {
 			return nil, err
-		}
-		roles, rolesErr := patterns.AssignDDoSRoles(zones)
-		res.Windows = make([]WindowResult, 0, len(windows))
-		for k, w := range windows {
-			res.Windows = append(res.Windows, windowResult(k, w, zones, roles, rolesErr, res.Labels))
 		}
 	}
 
-	// The whole-run readings go through the sparse path: one linear
-	// fold into a CSR, analyzed through the accessor interface — no
-	// dense n² materialization.
-	aggStart := time.Now()
-	csr, _ := trace.SparseMatrixArena(svc.arena, net)
-	aggElapsed := time.Since(aggStart)
-	// The sparse fold was the trace's last reader: every value derived
-	// from it (event counts, window CSRs, the aggregate CSR) owns its
-	// own storage, so the trace slab can recycle for the next request.
-	svc.arena.ReleaseTrace(trace)
+	genStart := time.Now()
+	var csr *matrix.CSR
+	var stats netsim.Stats
+	if req.Window > 0 {
+		roles, rolesErr := patterns.AssignDDoSRoles(zones)
+		csr, stats, err = netsim.StreamCSRArena(ctx, svc.arena, scn, net, req.Seed, workers, p, req.Window, p.Duration,
+			func(k int, w netsim.SparseWindow) error {
+				return onWindow(windowResult(k, w, zones, roles, rolesErr, res.Labels))
+			})
+	} else {
+		csr, stats, err = netsim.GenerateCSRArena(ctx, svc.arena, scn, net, req.Seed, workers, p)
+	}
+	if err != nil {
+		return nil, err
+	}
+	genElapsed := time.Since(genStart)
+	res.Events, res.Packets = stats.Events, stats.Packets
+
 	analyzeStart := time.Now()
 	res.Aggregate = analyzeMatrix(csr, zones)
-	analyzeElapsed := time.Since(analyzeStart)
 	res.AggregateCSR = csr
-	res.Timings = Timings{Generate: genElapsed, Aggregate: aggElapsed, Analyze: analyzeElapsed}
+	res.Timings = Timings{Generate: genElapsed, Analyze: time.Since(analyzeStart)}
 	return res, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestShardedCacheAggregateStats: counters and occupancy aggregate
@@ -291,25 +292,23 @@ func TestShardedFlightsCoalescePerKey(t *testing.T) {
 	runs := 0
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, _, err := g.do(context.Background(), "same-key", func() (any, error) {
-				mu.Lock()
-				runs++
-				mu.Unlock()
-				<-gate
-				return 42, nil
-			})
-			if err != nil || v.(int) != 42 {
-				t.Errorf("do = %v, %v", v, err)
-			}
-		}()
+	call := func() {
+		defer wg.Done()
+		v, _, err := g.do(context.Background(), "same-key", func() (any, error) {
+			mu.Lock()
+			runs++
+			mu.Unlock()
+			<-gate
+			return 42, nil
+		})
+		if err != nil || v.(int) != 42 {
+			t.Errorf("do = %v, %v", v, err)
+		}
 	}
-	// Let every goroutine reach the flight group before releasing the
-	// leader; a tiny sleep-free sync: close the gate once someone is
-	// inside (runs is incremented by the single leader only).
+	// Start the leader alone and wait until it is inside fn, so its
+	// call is registered and stays registered until the gate opens.
+	wg.Add(1)
+	go call()
 	for {
 		mu.Lock()
 		r := runs
@@ -319,6 +318,20 @@ func TestShardedFlightsCoalescePerKey(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
+	// Then start the followers and give each time to reach the group
+	// before releasing the leader: a follower arriving after the
+	// release would rightly start a flight of its own.
+	var ready sync.WaitGroup
+	for i := 1; i < 10; i++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			ready.Done()
+			call()
+		}()
+	}
+	ready.Wait()
+	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
 	if runs != 1 {

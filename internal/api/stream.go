@@ -8,20 +8,19 @@ import (
 	"io"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/patterns"
 )
 
-// The streaming variant of Generate. Batch Generate holds the whole
-// run — trace, windows, readings — until everything is done;
+// The streaming variant of Generate. Both run the same cold path
+// (Service.cold): batch Generate collects every window's readings
+// and returns them with the aggregate once the run is done;
 // GenerateStream emits NDJSON-able frames as the run progresses, one
 // meta frame up front, one window frame per sealed aggregation
 // window (bit-identical to the batch WindowResult, because both
-// paths share windowResult and the engine's streaming windows are
-// bit-identical to the batch ones), and one summary frame with the
-// whole-run aggregate analysis at the end.
+// collect the same windowResult values from the same engine), and
+// one summary frame with the whole-run aggregate analysis at the
+// end.
 //
 // Streaming requests deliberately bypass the result cache and the
 // flight group: a stream's value is its timing, its windows leave
@@ -226,12 +225,6 @@ func (svc *Service) GenerateStream(ctx context.Context, req GenerateRequest, emi
 	}
 	canonical := netsim.SpecString(scn)
 	net := netsim.ScaledNetwork(req.Hosts)
-	zones, err := net.Zones()
-	if err != nil {
-		return err
-	}
-	workers := svc.resolveWorkers(req.Workers)
-	p := req.params().Normalized()
 
 	fctx, end := svc.sessions.Begin(ctx, "stream", req.cacheKey(canonical, net.Len()))
 	defer end()
@@ -256,41 +249,24 @@ func (svc *Service) GenerateStream(ctx context.Context, req GenerateRequest, emi
 		return nil
 	}
 
-	nw := int(math.Ceil(p.Duration / req.Window))
-	if nw < 1 {
-		nw = 1
-	}
-	meta := &StreamMeta{
-		Version: Version, Spec: canonical, Scenario: scn.Name(), Shape: scn.Shape(),
-		Hosts: net.Len(), Seed: req.Seed, Workers: workers,
-		Duration: p.Duration, Window: req.Window, Windows: nw,
-		Labels: net.Labels(),
-	}
-	if sched, ok := scn.(netsim.Scheduler); ok {
-		for _, ph := range sched.Schedule(p) {
-			meta.Schedule = append(meta.Schedule, Phase{Label: ph.Label, Start: ph.Start, End: ph.End})
+	start := func(res *GenerateResult) error {
+		nw := int(math.Ceil(res.Duration / req.Window))
+		if nw < 1 {
+			nw = 1
 		}
+		return send(StreamFrame{Type: FrameMeta, Meta: &StreamMeta{
+			Version: res.Version, Spec: res.Spec, Scenario: res.Scenario, Shape: res.Shape,
+			Hosts: res.Hosts, Seed: res.Seed, Workers: res.Workers,
+			Duration: res.Duration, Window: req.Window, Windows: nw,
+			Labels: res.Labels, Schedule: res.Schedule, ComposedOf: res.ComposedOf,
+		}})
 	}
-	if _, ok := scn.(netsim.Composite); ok {
-		for _, leaf := range netsim.Leaves(scn) {
-			meta.ComposedOf = append(meta.ComposedOf, leaf.Name())
+	res, err := svc.cold(sctx, scn, canonical, net, req, start, func(wr WindowResult) error {
+		if req.IncludeMatrices {
+			wr.Cells = wr.Matrix.ToDense().ToRows()
 		}
-	}
-	if err := send(StreamFrame{Type: FrameMeta, Meta: meta}); err != nil {
-		return sessionErr(fctx, err)
-	}
-
-	roles, rolesErr := patterns.AssignDDoSRoles(zones)
-	labels := net.Labels()
-	genStart := time.Now()
-	csr, stats, err := netsim.StreamCSRArena(sctx, svc.arena, scn, net, req.Seed, workers, p, req.Window, p.Duration,
-		func(k int, w netsim.SparseWindow) error {
-			wr := windowResult(k, w, zones, roles, rolesErr, labels)
-			if req.IncludeMatrices {
-				wr.Cells = wr.Matrix.ToDense().ToRows()
-			}
-			return send(StreamFrame{Type: FrameWindow, Window: &wr})
-		})
+		return send(StreamFrame{Type: FrameWindow, Window: &wr})
+	})
 	if err != nil {
 		// A run stopped by an emit failure reports the consumer's
 		// error, not the context.Canceled our own cancel induced —
@@ -300,14 +276,8 @@ func (svc *Service) GenerateStream(ctx context.Context, req GenerateRequest, emi
 		}
 		return sessionErr(fctx, err)
 	}
-	genElapsed := time.Since(genStart)
-
-	analyzeStart := time.Now()
-	agg := analyzeMatrix(csr, zones)
-	analyzeElapsed := time.Since(analyzeStart)
 	summary := &StreamSummary{
-		Events: stats.Events, Packets: stats.Packets, Aggregate: agg,
-		Timings: Timings{Generate: genElapsed, Analyze: analyzeElapsed},
+		Events: res.Events, Packets: res.Packets, Aggregate: res.Aggregate, Timings: res.Timings,
 	}
 	return sessionErr(fctx, send(StreamFrame{Type: FrameSummary, Summary: summary}))
 }

@@ -42,7 +42,7 @@ const Author = "bridge"
 // ModuleFromScenario generates the scenario with the default
 // parameters and renders its aggregate traffic matrix as a playable
 // learning module with a synthesized question. The generation runs
-// on the sparse path (netsim.GenerateCSR) and densifies only the
+// on the sparse path (netsim.GenerateCSRArena) and densifies only the
 // final lesson-sized grid.
 func ModuleFromScenario(s netsim.Scenario, net *netsim.Network, seed int64) (*core.Module, error) {
 	return AggregateModule(s, net, seed, netsim.Params{})
@@ -64,7 +64,7 @@ func AggregateModuleContext(ctx context.Context, s netsim.Scenario, net *netsim.
 	if err != nil {
 		return nil, err
 	}
-	csr, _, err := netsim.GenerateCSRContext(ctx, s, net, seed, workers, p)
+	csr, _, err := netsim.GenerateCSRArena(ctx, nil, s, net, seed, workers, p)
 	if err != nil {
 		return nil, fmt.Errorf("bridge: generate %s: %w", s.Name(), err)
 	}

@@ -34,7 +34,7 @@ type Campaign struct {
 // CampaignFromScenario generates the scenario once and renders it
 // into a campaign: the trace aggregates into the overview module
 // (sparse fold, densified only at lesson size) and splits into
-// windowLen-second windows via the single-pass WindowsCSR engine,
+// windowLen-second windows via the single-pass WindowsCSRArena fold,
 // each non-empty window becoming a timeline module with a question
 // synthesized from its own matrix — the scenario's ground-truth
 // phase when it publishes a schedule, the window's supernode when
@@ -54,21 +54,21 @@ func CampaignFromScenarioContext(ctx context.Context, s netsim.Scenario, net *ne
 	if windowLen <= 0 {
 		return nil, fmt.Errorf("bridge: window length must be positive, got %g", windowLen)
 	}
-	trace, err := netsim.GenerateTraceContext(ctx, s, net, seed, workers, p)
+	trace, err := netsim.GenerateTraceArena(ctx, nil, s, net, seed, workers, p)
 	if err != nil {
 		return nil, fmt.Errorf("bridge: generate %s: %w", s.Name(), err)
 	}
 	title := titleCase(s.Name())
 
 	// Overview: the whole-run aggregate with the shape question.
-	csr, _ := trace.SparseMatrix(net)
+	csr, _ := trace.SparseMatrixArena(nil, net)
 	overview := &core.Lesson{
 		Name:    s.Name() + " overview",
 		Modules: []*core.Module{aggregateModule(s, net, zones, csr)},
 	}
 
 	// Timeline: one module per non-empty window.
-	windows, err := trace.WindowsCSRContext(ctx, net, windowLen, 0)
+	windows, err := trace.WindowsCSRArena(ctx, nil, net, windowLen, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -120,7 +120,7 @@ func TestMergeCOOArenaParity(t *testing.T) {
 		return parts
 	}
 	_ = rng
-	plain, err := MergeCOO(build(nil)...)
+	plain, err := MergeCOOArena(context.Background(), nil, build(nil)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestWindowCompactorArenaParity(t *testing.T) {
 		}
 		return out
 	}
-	plain := run(NewWindowCompactor(20, 20, 6))
+	plain := run(NewWindowCompactorArena(nil, 20, 20, 6, 0))
 	a := NewArena()
 	pooled := run(NewWindowCompactorArena(a, 20, 20, 6, 700))
 	for w := range plain {

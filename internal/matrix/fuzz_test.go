@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -135,7 +136,7 @@ func FuzzMergeCOO(f *testing.F) {
 			for k, e := range entries {
 				parts[k%shards].Add(e.Row, e.Col, e.Val)
 			}
-			merged, err := MergeCOO(parts...)
+			merged, err := MergeCOOArena(context.Background(), nil, parts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +157,7 @@ func FuzzMergeCOO(f *testing.F) {
 			for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
 				rev[l], rev[r] = rev[r], rev[l]
 			}
-			back, err := MergeCOO(rev...)
+			back, err := MergeCOOArena(context.Background(), nil, rev...)
 			if err != nil {
 				t.Fatal(err)
 			}

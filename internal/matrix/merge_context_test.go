@@ -22,15 +22,15 @@ func TestMergeCOOContextCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MergeCOOContext(ctx, a, b); !errors.Is(err, context.Canceled) {
+	if _, err := MergeCOOArena(ctx, nil, a, b); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled merge: err = %v, want context.Canceled", err)
 	}
 
-	merged, err := MergeCOOContext(context.Background(), a, b)
+	merged, err := MergeCOOArena(context.Background(), nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := MergeCOO(mkShard(1, 2, 3), mkShard(10, 20))
+	want, err := MergeCOOArena(context.Background(), nil, mkShard(1, 2, 3), mkShard(10, 20))
 	if err != nil {
 		t.Fatal(err)
 	}

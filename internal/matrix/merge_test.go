@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -32,7 +33,7 @@ func TestMergeCOOMatchesSerialSum(t *testing.T) {
 		}
 	}
 	reference.Compact()
-	merged, err := MergeCOO(parts[0], nil, parts[1], parts[2], parts[3])
+	merged, err := MergeCOOArena(context.Background(), nil, parts[0], nil, parts[1], parts[2], parts[3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,20 +53,20 @@ func TestMergeCOOSinglePartAndErrors(t *testing.T) {
 		want.Add(e.Row, e.Col, e.Val)
 	}
 	want.Compact()
-	merged, err := MergeCOO(solo)
+	merged, err := MergeCOOArena(context.Background(), nil, solo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(merged.Entries(), want.Entries()) {
 		t.Error("single-part merge differs from compaction")
 	}
-	if _, err := MergeCOO(); err == nil {
+	if _, err := MergeCOOArena(context.Background(), nil); err == nil {
 		t.Error("merge of nothing accepted")
 	}
-	if _, err := MergeCOO(nil, nil); err == nil {
+	if _, err := MergeCOOArena(context.Background(), nil, nil, nil); err == nil {
 		t.Error("merge of only nils accepted")
 	}
-	if _, err := MergeCOO(NewCOO(4, 4), NewCOO(4, 5)); err == nil {
+	if _, err := MergeCOOArena(context.Background(), nil, NewCOO(4, 4), NewCOO(4, 5)); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
@@ -76,7 +77,7 @@ func TestMergeCOOCancelsToZero(t *testing.T) {
 	b := NewCOO(4, 4)
 	b.Add(1, 2, -5)
 	b.Add(0, 0, 3)
-	merged, err := MergeCOO(a, b)
+	merged, err := MergeCOOArena(context.Background(), nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,16 +39,11 @@ type WindowCompactor struct {
 	hint  int
 }
 
-// NewWindowCompactor builds a compactor for `windows` aggregation
-// intervals over rows×cols matrices.
-func NewWindowCompactor(rows, cols, windows int) *WindowCompactor {
-	return NewWindowCompactorArena(nil, rows, cols, windows, 0)
-}
-
-// NewWindowCompactorArena is NewWindowCompactor with the per-window
+// NewWindowCompactorArena builds a compactor for `windows`
+// aggregation intervals over rows×cols matrices, with the per-window
 // builder storage pooled in an arena. hint pre-sizes each window's
 // slab request (typically the request's event budget divided by the
-// window count); a nil arena makes both extra parameters moot.
+// window count); a nil arena allocates fresh and makes hint moot.
 func NewWindowCompactorArena(a *Arena, rows, cols, windows, hint int) *WindowCompactor {
 	if windows < 0 {
 		panic(fmt.Sprintf("matrix: negative window count %d", windows))

@@ -30,7 +30,7 @@ func TestWindowCompactorMatchesPerWindowCOO(t *testing.T) {
 	}
 
 	// Concurrent fold in shuffled order across 8 goroutines.
-	wc := NewWindowCompactor(n, n, windows)
+	wc := NewWindowCompactorArena(nil, n, n, windows, 0)
 	shuffled := append([]triple(nil), all...)
 	rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
 	var wg sync.WaitGroup
@@ -68,7 +68,7 @@ func TestWindowCompactorMatchesPerWindowCOO(t *testing.T) {
 // TestWindowCompactorEmptyWindow pins that an untouched window seals
 // to a valid empty CSR, not nil.
 func TestWindowCompactorEmptyWindow(t *testing.T) {
-	wc := NewWindowCompactor(4, 4, 2)
+	wc := NewWindowCompactorArena(nil, 4, 4, 2, 0)
 	m, events, extra := wc.Seal(1)
 	if m == nil || m.NNZ() != 0 || m.Rows() != 4 || m.Cols() != 4 {
 		t.Fatalf("empty window sealed to %+v", m)
@@ -82,7 +82,7 @@ func TestWindowCompactorEmptyWindow(t *testing.T) {
 // property the streaming engine relies on: sealing drops the shard,
 // so PendingNNZ shrinks as windows close.
 func TestWindowCompactorSealReleasesStorage(t *testing.T) {
-	wc := NewWindowCompactor(8, 8, 3)
+	wc := NewWindowCompactorArena(nil, 8, 8, 3, 0)
 	for k := 0; k < 100; k++ {
 		wc.Add(k%3, k%8, (k*3)%8, 1)
 	}
@@ -108,7 +108,7 @@ func TestWindowCompactorMisusePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	wc := NewWindowCompactor(2, 2, 1)
+	wc := NewWindowCompactorArena(nil, 2, 2, 1, 0)
 	wc.Seal(0)
 	expectPanic("double seal", func() { wc.Seal(0) })
 	expectPanic("add after seal", func() { wc.Add(0, 0, 0, 1) })

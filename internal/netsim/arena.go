@@ -3,20 +3,20 @@ package netsim
 import "repro/internal/matrix"
 
 // The generation-side arena: one pooling scope for everything a
-// request's hot path builds and discards — chunk event buffers, the
-// concatenated trace slab, per-worker and per-window COO shards, and
-// the merge output. It wraps the matrix layer's triple arena and adds
-// an event-slab pool of its own, because the two element types
-// dominate a request's garbage in roughly equal measure.
+// request's hot path builds and discards — per-worker and per-window
+// COO shards and the merge output on the engine (GenerateCSRArena,
+// StreamCSRArena), plus chunk event buffers and the concatenated
+// trace slab when a trace is materialized (GenerateTraceArena). It
+// wraps the matrix layer's triple arena and adds an event-slab pool
+// of its own for the trace side.
 //
-// Every generation entry point has an *Arena-taking variant
-// (GenerateTraceArena, GenerateCSRArena, StreamTraceArena,
-// StreamCSRArena, Trace.WindowsCSRArena, Trace.SparseMatrixArena);
-// the historical names delegate with a nil arena, and a nil arena
-// means "allocate fresh" everywhere — the pooled and pool-free paths
-// produce bit-identical output by construction, pinned by the parity
-// tests in arena_test.go and the api layer's pooled-vs-reference
-// property suite.
+// Every generation entry point takes an *Arena (GenerateTraceArena,
+// GenerateCSRArena, StreamCSRArena, Trace.WindowsCSRArena,
+// Trace.SparseMatrixArena), and a nil arena means "allocate fresh"
+// everywhere — the pooled and pool-free paths produce bit-identical
+// output by construction, pinned by the parity tests in
+// arena_test.go and the api layer's pooled-vs-reference property
+// suite.
 //
 // Slab requests are pre-sized from the run's event budget
 // (duration × rate × scale after defaults), divided across chunks,
@@ -29,9 +29,10 @@ import "repro/internal/matrix"
 // long-lived network labels, so the retention is bounded and benign.
 
 // DefaultEventElems bounds the arena's retained event storage:
-// enough for the documented serving workloads' trace slab plus their
-// chunk buffers, while keeping the pooled footprint of one service
-// process firmly bounded.
+// enough for a documented workload's trace slab plus its chunk
+// buffers, while keeping the pooled footprint of one process firmly
+// bounded. The serving path materializes no trace, so a service's
+// event pool stays empty.
 const DefaultEventElems = 4 << 20
 
 // maxSlabHint caps any single pre-size request. Larger asks still

@@ -25,7 +25,7 @@ func arenaTestConfig(t *testing.T) (Scenario, *Network, Params) {
 
 func TestGenerateTraceArenaParity(t *testing.T) {
 	s, net, p := arenaTestConfig(t)
-	plain, err := GenerateTrace(s, net, 5, 4, p)
+	plain, err := GenerateTraceArena(context.Background(), nil, s, net, 5, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestGenerateTraceArenaParity(t *testing.T) {
 
 func TestGenerateCSRArenaParity(t *testing.T) {
 	s, net, p := arenaTestConfig(t)
-	plain, plainStats, err := GenerateCSR(s, net, 9, 4, p)
+	plain, plainStats, err := GenerateCSRArena(context.Background(), nil, s, net, 9, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,48 +122,13 @@ func TestStreamCSRArenaParity(t *testing.T) {
 	}
 }
 
-func TestStreamTraceArenaParity(t *testing.T) {
-	s, net, p := arenaTestConfig(t)
-	collect := func(a *Arena) Trace {
-		var got Trace
-		// Frames are valid only until yield returns — and the arena
-		// path really does recycle them — so the consumer must copy.
-		err := StreamTraceArena(context.Background(), a, s, net, 7, 4, p, 0, func(f TraceFrame) error {
-			got = append(got, f.Events...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Sort()
-		return got
-	}
-	plain := collect(nil)
-	want, err := GenerateTrace(s, net, 7, 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(Trace(want), plain) {
-		t.Fatal("pool-free stream differs from batch trace")
-	}
-	a := NewArena()
-	for round := 0; round < 3; round++ {
-		if got := collect(a); !reflect.DeepEqual(plain, got) {
-			t.Fatalf("round %d: arena stream differs", round)
-		}
-	}
-	if st := a.Stats(); st.Events.Hits == 0 {
-		t.Fatalf("no chunk buffer reuse: %+v", st.Events)
-	}
-}
-
 func TestWindowsCSRArenaParity(t *testing.T) {
 	s, net, p := arenaTestConfig(t)
-	tr, err := GenerateTrace(s, net, 2, 4, p)
+	tr, err := GenerateTraceArena(context.Background(), nil, s, net, 2, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := tr.WindowsCSR(net, 6, 0)
+	plain, err := tr.WindowsCSRArena(context.Background(), nil, net, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +154,11 @@ func TestWindowsCSRArenaParity(t *testing.T) {
 
 func TestSparseMatrixArenaParity(t *testing.T) {
 	s, net, p := arenaTestConfig(t)
-	tr, err := GenerateTrace(s, net, 4, 4, p)
+	tr, err := GenerateTraceArena(context.Background(), nil, s, net, 4, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, plainDropped := tr.SparseMatrix(net)
+	plain, plainDropped := tr.SparseMatrixArena(nil, net)
 	a := NewArena()
 	for round := 0; round < 2; round++ {
 		csr, dropped := tr.SparseMatrixArena(a, net)

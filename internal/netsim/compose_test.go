@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -19,7 +20,7 @@ var composeParams = Params{Duration: 8, Rate: 6}
 // given worker count, fatal on error.
 func generateCSRAt(t *testing.T, s Scenario, net *Network, workers int) *matrix.CSR {
 	t.Helper()
-	csr, _, err := GenerateCSR(s, net, 42, workers, composeParams)
+	csr, _, err := GenerateCSRArena(context.Background(), nil, s, net, 42, workers, composeParams)
 	if err != nil {
 		t.Fatalf("%s on %d workers: %v", s.Name(), workers, err)
 	}
@@ -64,11 +65,11 @@ func TestOverlayLayersComponents(t *testing.T) {
 	background, _ := LookupScenario("background")
 	composed := Overlay(background, scan)
 
-	overlayCOO, stats, err := GenerateMatrix(composed, net, 42, 1, composeParams)
+	overlayCSR, stats, err := GenerateCSRArena(context.Background(), nil, composed, net, 42, 1, composeParams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bgCOO, bgStats, err := GenerateMatrix(background, net, 42, 1, composeParams)
+	bgCSR, bgStats, err := GenerateCSRArena(context.Background(), nil, background, net, 42, 1, composeParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestOverlayLayersComponents(t *testing.T) {
 	// Component 0 occupies the leading chunk indices, so its chunk
 	// seeds — and therefore its exact cells — are those of a
 	// standalone run: overlay[i][j] ≥ background[i][j] everywhere.
-	overlay, bg := overlayCOO.ToDense(), bgCOO.ToDense()
+	overlay, bg := overlayCSR.ToDense(), bgCSR.ToDense()
 	for i := 0; i < net.Len(); i++ {
 		for j := 0; j < net.Len(); j++ {
 			if overlay.At(i, j) < bg.At(i, j) {
@@ -99,7 +100,7 @@ func TestSequenceConfinesStepsToSlots(t *testing.T) {
 		SeqStep{Scenario: ddos},
 	)
 	p := Params{Duration: 40}
-	trace, err := GenerateTrace(composed, net, 1, 1, p)
+	trace, err := GenerateTraceArena(context.Background(), nil, composed, net, 1, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +153,14 @@ func TestSequenceRejectsOversubscribedSlots(t *testing.T) {
 		SeqStep{Scenario: scan, Duration: 50},
 		SeqStep{Scenario: ddos},
 	)
-	_, err := GenerateTrace(composed, net, 1, 1, Params{Duration: 40})
+	_, err := GenerateTraceArena(context.Background(), nil, composed, net, 1, 1, Params{Duration: 40})
 	if err == nil {
 		t.Fatal("oversubscribed sequence generated silently")
 	}
 	if !strings.Contains(err.Error(), "ddos") || !strings.Contains(err.Error(), "no time") {
 		t.Errorf("unhelpful error %q", err)
 	}
-	if _, _, err := GenerateCSR(composed, net, 1, 4, Params{Duration: 40}); err == nil {
+	if _, _, err := GenerateCSRArena(context.Background(), nil, composed, net, 1, 4, Params{Duration: 40}); err == nil {
 		t.Error("oversubscribed sequence generated silently on the sparse path")
 	}
 }
@@ -170,11 +171,11 @@ func TestDilateStretchesTime(t *testing.T) {
 	net := StandardNetwork()
 	scan, _ := LookupScenario("scan")
 	p := Params{Duration: 20}
-	inner, err := GenerateTrace(scan, net, 3, 1, Params{Duration: 10})
+	inner, err := GenerateTraceArena(context.Background(), nil, scan, net, 3, 1, Params{Duration: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dilated, err := GenerateTrace(Dilate(scan, 2), net, 3, 1, p)
+	dilated, err := GenerateTraceArena(context.Background(), nil, Dilate(scan, 2), net, 3, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +197,11 @@ func TestDilateStretchesTime(t *testing.T) {
 func TestAmplifyEqualsScale(t *testing.T) {
 	net := StandardNetwork()
 	ddos, _ := LookupScenario("ddos")
-	amplified, _, err := GenerateMatrix(Amplify(ddos, 3), net, 9, 2, Params{Duration: 12})
+	amplified, _, err := GenerateCSRArena(context.Background(), nil, Amplify(ddos, 3), net, 9, 2, Params{Duration: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, _, err := GenerateMatrix(ddos, net, 9, 2, Params{Duration: 12, Scale: 3})
+	scaled, _, err := GenerateCSRArena(context.Background(), nil, ddos, net, 9, 2, Params{Duration: 12, Scale: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +224,11 @@ func TestRelabelMatchesPermutationKernel(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %s missing", name)
 		}
-		base, _, err := GenerateCSR(s, net, 21, 4, composeParams)
+		base, _, err := GenerateCSRArena(context.Background(), nil, s, net, 21, 4, composeParams)
 		if err != nil {
 			t.Fatal(err)
 		}
-		relabeled, _, err := GenerateCSR(Relabel(s, mapping), net, 21, 4, composeParams)
+		relabeled, _, err := GenerateCSRArena(context.Background(), nil, Relabel(s, mapping), net, 21, 4, composeParams)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +251,7 @@ func TestRelabelMatchesPermutationKernel(t *testing.T) {
 func TestRelabelToForeignHostDrops(t *testing.T) {
 	net := StandardNetwork()
 	scan, _ := LookupScenario("scan")
-	_, stats, err := GenerateMatrix(Relabel(scan, map[string]string{"ADV1": "NOWHERE"}), net, 2, 1, composeParams)
+	_, stats, err := GenerateCSRArena(context.Background(), nil, Relabel(scan, map[string]string{"ADV1": "NOWHERE"}), net, 2, 1, composeParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +281,11 @@ func TestPermutationOfRejectsBadMappings(t *testing.T) {
 func TestTimedPinsDuration(t *testing.T) {
 	net := StandardNetwork()
 	scan, _ := LookupScenario("scan")
-	timed, err := GenerateTrace(Timed(scan, 10), net, 4, 1, Params{Duration: 40})
+	timed, err := GenerateTraceArena(context.Background(), nil, Timed(scan, 10), net, 4, 1, Params{Duration: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := GenerateTrace(scan, net, 4, 1, Params{Duration: 10})
+	want, err := GenerateTraceArena(context.Background(), nil, scan, net, 4, 1, Params{Duration: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestMixtureIdentifiesComposedShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr, _, err := GenerateCSR(s, net, 42, 0, Params{})
+	csr, _, err := GenerateCSRArena(context.Background(), nil, s, net, 42, 0, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestMixtureIdentifiesComposedShapes(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %s missing", name)
 		}
-		csr, _, err := GenerateCSR(pure, net, 42, 0, Params{})
+		csr, _, err := GenerateCSRArena(context.Background(), nil, pure, net, 42, 0, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,16 +391,16 @@ func TestPlanRunRejectsNonFiniteParams(t *testing.T) {
 		"NaN rate":      {Duration: 10, Rate: nan},
 		"Inf rate":      {Duration: 10, Rate: math.Inf(1)},
 	} {
-		if _, err := GenerateTrace(s, net, 1, 1, p); err == nil {
-			t.Errorf("GenerateTrace accepted %s", name)
+		if _, err := GenerateTraceArena(context.Background(), nil, s, net, 1, 1, p); err == nil {
+			t.Errorf("GenerateTraceArena accepted %s", name)
 		} else if !strings.Contains(err.Error(), "finite") {
 			t.Errorf("%s: unhelpful error %q", name, err)
 		}
-		if _, _, err := GenerateMatrix(s, net, 1, 1, p); err == nil {
-			t.Errorf("GenerateMatrix accepted %s", name)
+		if _, _, err := GenerateCSRArena(context.Background(), nil, s, net, 1, 1, p); err == nil {
+			t.Errorf("GenerateCSRArena accepted %s", name)
 		}
-		if _, _, err := GenerateCSR(s, net, 1, 1, p); err == nil {
-			t.Errorf("GenerateCSR accepted %s", name)
+		if _, _, err := StreamCSRArena(context.Background(), nil, s, net, 1, 1, p, 1, 0, func(int, SparseWindow) error { return nil }); err == nil {
+			t.Errorf("StreamCSRArena accepted %s", name)
 		}
 	}
 }

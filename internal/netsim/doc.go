@@ -70,28 +70,33 @@
 //
 // Generation is deterministic-parallel. A scenario's Chunks method
 // fixes a worker-count-independent partition of its workload;
-// GenerateTrace and GenerateMatrix fan the chunk indices across a
-// worker pool, seeding chunk k's RNG from (seed, k) by splitmix64.
-// Workers accumulate into private stores — per-chunk trace slots, or
-// per-worker sparse COO shards merged by matrix.MergeCOO, whose
-// duplicate-summing compaction is order-insensitive — so for a given
-// (scenario, network, seed, params) the aggregate output is
-// bit-identical on 1 worker or N. The legacy Background, Scan,
-// AttackScenario, and DDoSScenario functions are thin adapters
-// running the same scripts on one worker.
+// GenerateTraceArena and the engine behind GenerateCSRArena and
+// StreamCSRArena fan the chunk indices across a worker pool, seeding
+// chunk k's RNG from (seed, k) by splitmix64. Workers accumulate into
+// private stores — per-chunk trace slots, or per-worker sparse COO
+// shards merged by matrix.MergeCOOArena, whose duplicate-summing
+// compaction is order-insensitive — so for a given (scenario,
+// network, seed, params) the aggregate output is bit-identical on 1
+// worker or N. The legacy Background, Scan, AttackScenario, and
+// DDoSScenario functions are thin adapters running the same scripts
+// on one worker.
 //
-// # Streaming
+// # One engine, one entry point per operation
 //
-// The batch entry points materialize everything before returning;
-// StreamTrace and StreamCSR are their bounded-memory siblings.
-// StreamTrace delivers the trace as chunk-ordered frames through a
-// back-pressured reorder ring; StreamCSR folds events straight into
-// an incremental per-window compactor and hands each window's CSR to
-// a callback the moment it seals — long before the run completes.
-// Sealing is driven by the optional ChunkSpanner interface
-// (conservative per-chunk time bounds; every catalog entry and
-// combinator implements it), and because a window's CSR is a pure
-// function of its event multiset, streamed windows are bit-identical
-// to Trace.WindowsCSR's for any worker count — pinned by the
-// streaming parity suite.
+// Each operation has exactly one exported form, taking an *Arena (nil
+// allocates fresh) and, for every operation but the single-pass
+// trace fold, a context: GenerateTraceArena materializes
+// the sorted trace, GenerateCSRArena returns the whole-run aggregate,
+// StreamCSRArena returns the aggregate and also hands each
+// fixed-length window's CSR to a callback the moment it seals, and
+// Trace.WindowsCSRArena and Trace.SparseMatrixArena fold a trace.
+// GenerateCSRArena and StreamCSRArena are one engine — the first is
+// the second with no windows — and neither materializes a trace, so
+// the serving path never sorts or holds one. Sealing is driven by the
+// optional ChunkSpanner interface (conservative per-chunk time
+// bounds; every catalog entry and combinator implements it), and
+// because a window's CSR is a pure function of its event multiset,
+// streamed windows are bit-identical to Trace.WindowsCSRArena's for
+// any worker count — pinned by the parity suites, which use the
+// trace and its folds as the reference.
 package netsim

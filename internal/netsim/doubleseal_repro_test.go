@@ -29,7 +29,7 @@ func TestStreamCSRDoubleSealRepro(t *testing.T) {
 	net := StandardNetwork()
 	boom := errors.New("boom")
 	for i := 0; i < 300; i++ {
-		_, _, err := StreamCSR(context.Background(), s, net, 1, 8, Params{Duration: 256, Rate: 1}, 1, 0,
+		_, _, err := StreamCSRArena(context.Background(), nil, s, net, 1, 8, Params{Duration: 256, Rate: 1}, 1, 0,
 			func(k int, w SparseWindow) error {
 				if k >= 4 {
 					return boom

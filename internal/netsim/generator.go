@@ -119,28 +119,24 @@ func runChunks(ctx context.Context, chunks, workers int, seed int64, fn func(wor
 	return ctx.Err()
 }
 
-// GenerateTrace generates the scenario's full event trace on the
-// given number of workers (≤ 0 selects runtime.NumCPU()). The trace
-// is identical for any worker count: chunks land in per-chunk slots,
-// are concatenated in chunk order, and the final sort is stable on
-// equal timestamps.
-func GenerateTrace(s Scenario, net *Network, seed int64, workers int, p Params) (Trace, error) {
-	return GenerateTraceContext(context.Background(), s, net, seed, workers, p)
-}
-
-// GenerateTraceContext is GenerateTrace with cancellation: when ctx
-// is cancelled mid-run the worker pool stops claiming chunks and the
-// context's error is returned instead of a partial trace.
-func GenerateTraceContext(ctx context.Context, s Scenario, net *Network, seed int64, workers int, p Params) (Trace, error) {
-	return GenerateTraceArena(ctx, nil, s, net, seed, workers, p)
-}
-
-// GenerateTraceArena is GenerateTraceContext with the chunk buffers
-// and the trace's backing slab pooled in an arena (nil allocates
-// fresh — identical output either way). Chunk buffers recycle as soon
-// as they are concatenated; the returned trace's slab belongs to the
-// caller, who should hand it back with Arena.ReleaseTrace once every
-// view of the trace is dead.
+// GenerateTraceArena generates the scenario's full event trace on
+// the given number of workers (≤ 0 selects runtime.NumCPU()). The
+// trace is identical for any worker count: chunks land in per-chunk
+// slots, are concatenated in chunk order, and the final sort is
+// stable on equal timestamps. When ctx is cancelled mid-run the
+// worker pool stops claiming chunks and the context's error is
+// returned instead of a partial trace.
+//
+// The chunk buffers and the trace's backing slab are pooled in the
+// arena (nil allocates fresh — identical output either way). Chunk
+// buffers recycle as soon as they are concatenated; the returned
+// trace's slab belongs to the caller, who should hand it back with
+// Arena.ReleaseTrace once every view of the trace is dead.
+//
+// The serving path never materializes a trace (see GenerateCSRArena
+// and StreamCSRArena); the trace and its folds are the reference the
+// parity suites compare the engine against, and the raw material of
+// the bridge's campaign timeline.
 func GenerateTraceArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params) (Trace, error) {
 	chunks, workers, pd, err := planRun(s, net, workers, p)
 	if err != nil {
@@ -181,107 +177,23 @@ func GenerateTraceArena(ctx context.Context, a *Arena, s Scenario, net *Network,
 	return trace, nil
 }
 
-// GenerateMatrix generates the scenario and aggregates it straight
+// GenerateCSRArena generates the scenario and aggregates it straight
 // into a sparse traffic matrix, skipping trace materialization: each
 // worker streams its chunks' events into a private COO shard, and
-// the shards are merged and compacted by matrix.MergeCOO. Because
-// duplicate COO coordinates sum on compaction, the merged matrix is
+// the shards are merged and compacted by matrix.MergeCOOArena and
+// converted to CSR in one linear pass — no dense n² materialization
+// happens anywhere between event emission and the analysis layer.
+// Because duplicate COO coordinates sum on compaction, the matrix is
 // identical for any worker count. Events naming hosts outside the
 // network axis are counted in Stats.Dropped, mirroring
-// Trace.Matrix.
-func GenerateMatrix(s Scenario, net *Network, seed int64, workers int, p Params) (*matrix.COO, Stats, error) {
-	return GenerateMatrixContext(context.Background(), s, net, seed, workers, p)
-}
-
-// GenerateMatrixContext is GenerateMatrix with cancellation threaded
-// through both sharded loops: the chunk workers stop claiming work
-// when ctx is cancelled, and the final shard merge
-// (matrix.MergeCOOContext) aborts between shard compactions.
-func GenerateMatrixContext(ctx context.Context, s Scenario, net *Network, seed int64, workers int, p Params) (*matrix.COO, Stats, error) {
-	return GenerateMatrixArena(ctx, nil, s, net, seed, workers, p)
-}
-
-// GenerateMatrixArena is GenerateMatrixContext with the per-worker
-// shards and the merged output's storage pooled in an arena (nil
-// allocates fresh — identical output either way). The shards release
-// into the arena here; the returned COO is arena-backed, so the
-// caller must Release it after its last use (ToCSR first when the
-// triples need to outlive it — GenerateCSRArena does exactly that).
-func GenerateMatrixArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params) (*matrix.COO, Stats, error) {
-	chunks, workers, pd, err := planRun(s, net, workers, p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	n := net.Len()
-	hint := divHint(eventBudget(pd), workers)
-	shards := make([]*matrix.COO, workers)
-	partial := make([]Stats, workers)
-	for w := range shards {
-		shards[w] = matrix.NewCOOIn(a.Matrix(), n, n, hint)
-	}
-	err = runChunks(ctx, chunks, workers, seed, func(w, k int, rng *rand.Rand) error {
-		acc, st := shards[w], &partial[w]
-		return s.Emit(net, rng, pd, k, func(e Event) {
-			st.Events++
-			st.Packets += e.Packets
-			i, iok := net.Index(e.Src)
-			j, jok := net.Index(e.Dst)
-			if !iok || !jok {
-				st.Dropped += e.Packets
-				return
-			}
-			acc.Add(i, j, e.Packets)
-		})
-	})
-	if err != nil {
-		releaseShards(shards)
-		return nil, Stats{}, err
-	}
-	merged, err := matrix.MergeCOOArena(ctx, a.Matrix(), shards...)
-	if err != nil {
-		releaseShards(shards)
-		return nil, Stats{}, err
-	}
-	// The merge copies every triple, so the shards' slabs are
-	// unreachable now.
-	releaseShards(shards)
-	var stats Stats
-	for _, st := range partial {
-		stats.Events += st.Events
-		stats.Packets += st.Packets
-		stats.Dropped += st.Dropped
-	}
-	return merged, stats, nil
-}
-
-// GenerateCSR is the fully sparse end-to-end path: it generates the
-// scenario into sharded COO accumulators (GenerateMatrix) and
-// converts the merged result straight to CSR. The merge leaves the
-// triples compacted, so the conversion is a single linear pass — no
-// dense n² materialization happens anywhere between event emission
-// and the analysis layer, which consumes the CSR through the
-// matrix.Matrix accessor interface.
-func GenerateCSR(s Scenario, net *Network, seed int64, workers int, p Params) (*matrix.CSR, Stats, error) {
-	return GenerateCSRContext(context.Background(), s, net, seed, workers, p)
-}
-
-// GenerateCSRContext is GenerateCSR with cancellation (see
-// GenerateMatrixContext).
-func GenerateCSRContext(ctx context.Context, s Scenario, net *Network, seed int64, workers int, p Params) (*matrix.CSR, Stats, error) {
-	return GenerateCSRArena(ctx, nil, s, net, seed, workers, p)
-}
-
-// GenerateCSRArena is GenerateCSRContext with every intermediate —
-// worker shards and the merged COO — pooled in an arena (nil
-// allocates fresh). The returned CSR's arrays are always freshly
-// allocated and permanently the caller's: nothing about it ever
-// returns to the pool, so it is safe to cache or stream.
+// Trace.SparseMatrixArena. Cancelling ctx stops both the chunk
+// workers and the final shard merge.
+//
+// Every intermediate — worker shards and the merged COO — is pooled
+// in the arena (nil allocates fresh). The returned CSR's arrays are
+// always freshly allocated and permanently the caller's: nothing
+// about it ever returns to the pool, so it is safe to cache or
+// stream. It is StreamCSRArena's engine with no windows.
 func GenerateCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params) (*matrix.CSR, Stats, error) {
-	coo, stats, err := GenerateMatrixArena(ctx, a, s, net, seed, workers, p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	csr := coo.ToCSR()
-	coo.Release()
-	return csr, stats, nil
+	return generate(ctx, a, s, net, seed, workers, p, 0, 0, nil)
 }

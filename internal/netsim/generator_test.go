@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -59,63 +60,35 @@ func TestGenerationDeterministicAcrossWorkers(t *testing.T) {
 	p := Params{Duration: 20, Rate: 6, Scale: 3}
 	const seed = 1234
 	for _, s := range Scenarios() {
-		serialTrace, err := GenerateTrace(s, net, seed, 1, p)
+		serialTrace, err := GenerateTraceArena(context.Background(), nil, s, net, seed, 1, p)
 		if err != nil {
 			t.Fatalf("%s: serial trace: %v", s.Name(), err)
 		}
 		if len(serialTrace) == 0 {
 			t.Fatalf("%s: empty trace", s.Name())
 		}
-		serialCOO, serialStats, err := GenerateMatrix(s, net, seed, 1, p)
+		serialCSR, serialStats, err := GenerateCSRArena(context.Background(), nil, s, net, seed, 1, p)
 		if err != nil {
 			t.Fatalf("%s: serial matrix: %v", s.Name(), err)
 		}
 		for _, workers := range []int{2, 7, 0} { // 0 = NumCPU
-			trace, err := GenerateTrace(s, net, seed, workers, p)
+			trace, err := GenerateTraceArena(context.Background(), nil, s, net, seed, workers, p)
 			if err != nil {
 				t.Fatalf("%s: %d-worker trace: %v", s.Name(), workers, err)
 			}
 			if !reflect.DeepEqual(trace, serialTrace) {
 				t.Fatalf("%s: %d-worker trace differs from serial", s.Name(), workers)
 			}
-			coo, stats, err := GenerateMatrix(s, net, seed, workers, p)
+			csr, stats, err := GenerateCSRArena(context.Background(), nil, s, net, seed, workers, p)
 			if err != nil {
 				t.Fatalf("%s: %d-worker matrix: %v", s.Name(), workers, err)
 			}
 			if stats != serialStats {
 				t.Fatalf("%s: %d-worker stats %+v differ from serial %+v", s.Name(), workers, stats, serialStats)
 			}
-			if !reflect.DeepEqual(coo.Entries(), serialCOO.Entries()) {
+			if !reflect.DeepEqual(csr, serialCSR) {
 				t.Fatalf("%s: %d-worker matrix differs from serial", s.Name(), workers)
 			}
-		}
-	}
-}
-
-// TestGenerateMatrixMatchesTrace checks the two generation paths
-// agree: aggregating the trace must give the same dense matrix as
-// the sharded COO accumulation.
-func TestGenerateMatrixMatchesTrace(t *testing.T) {
-	net := StandardNetwork()
-	p := Params{Duration: 30, Rate: 5, Scale: 2}
-	for _, s := range Scenarios() {
-		trace, err := GenerateTrace(s, net, 99, 4, p)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		fromTrace, dropped := trace.Matrix(net)
-		coo, stats, err := GenerateMatrix(s, net, 99, 4, p)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if !fromTrace.Equal(coo.ToDense()) {
-			t.Errorf("%s: COO aggregate differs from trace aggregate", s.Name())
-		}
-		if stats.Events != len(trace) || stats.Dropped != dropped {
-			t.Errorf("%s: stats %+v vs trace events=%d dropped=%d", s.Name(), stats, len(trace), dropped)
-		}
-		if stats.Packets != trace.TotalPackets() {
-			t.Errorf("%s: stats packets %d vs trace %d", s.Name(), stats.Packets, trace.TotalPackets())
 		}
 	}
 }
@@ -125,18 +98,18 @@ func TestGenerateMatrixMatchesTrace(t *testing.T) {
 func TestScaleMultipliesVolume(t *testing.T) {
 	net := StandardNetwork()
 	s, _ := LookupScenario("ddos")
-	_, one, err := GenerateMatrix(s, net, 5, 2, Params{Scale: 1})
+	_, one, err := GenerateCSRArena(context.Background(), nil, s, net, 5, 2, Params{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, four, err := GenerateMatrix(s, net, 5, 2, Params{Scale: 4})
+	_, four, err := GenerateCSRArena(context.Background(), nil, s, net, 5, 2, Params{Scale: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if four.Events != 4*one.Events {
 		t.Errorf("scale 4 events = %d, want %d", four.Events, 4*one.Events)
 	}
-	trace, err := GenerateTrace(s, net, 5, 2, Params{Duration: 40, Scale: 4})
+	trace, err := GenerateTraceArena(context.Background(), nil, s, net, 5, 2, Params{Duration: 40, Scale: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +138,11 @@ func TestNewScenarioShapesClassify(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %q missing", name)
 		}
-		coo, _, err := GenerateMatrix(s, net, 31, 4, Params{})
+		csr, _, err := GenerateCSRArena(context.Background(), nil, s, net, 31, 4, Params{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, conf := patterns.ClassifyBehavior(coo.ToDense(), zones)
+		got, conf := patterns.ClassifyBehavior(csr.ToDense(), zones)
 		if got != behavior {
 			t.Errorf("%s classified as %v (%.2f), want %v", name, got, conf, behavior)
 		}
@@ -179,11 +152,11 @@ func TestNewScenarioShapesClassify(t *testing.T) {
 	}
 	// The flash crowd is also the live internal supernode of Fig 6c.
 	s, _ := LookupScenario("flashcrowd")
-	coo, _, err := GenerateMatrix(s, net, 31, 4, Params{})
+	csr, _, err := GenerateCSRArena(context.Background(), nil, s, net, 31, 4, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind := patterns.ClassifyTopology(coo.ToDense(), zones); kind != patterns.TopologyInternalSupernode {
+	if kind := patterns.ClassifyTopology(csr.ToDense(), zones); kind != patterns.TopologyInternalSupernode {
 		t.Errorf("flashcrowd topology = %v, want internal supernode", kind)
 	}
 }
@@ -221,14 +194,14 @@ func TestSchedulerGroundTruth(t *testing.T) {
 func TestGenerateErrors(t *testing.T) {
 	net := StandardNetwork()
 	s, _ := LookupScenario("attack")
-	if _, err := GenerateTrace(nil, net, 1, 1, Params{}); err == nil {
+	if _, err := GenerateTraceArena(context.Background(), nil, nil, net, 1, 1, Params{}); err == nil {
 		t.Error("nil scenario accepted")
 	}
-	if _, err := GenerateTrace(s, nil, 1, 1, Params{}); err == nil {
+	if _, err := GenerateTraceArena(context.Background(), nil, s, nil, 1, 1, Params{}); err == nil {
 		t.Error("nil network accepted")
 	}
-	if _, _, err := GenerateMatrix(nil, net, 1, 1, Params{}); err == nil {
-		t.Error("nil scenario accepted for matrix")
+	if _, _, err := GenerateCSRArena(context.Background(), nil, nil, net, 1, 1, Params{}); err == nil {
+		t.Error("nil scenario accepted for CSR")
 	}
 	// An undersized cast must error through the concurrent path too,
 	// on every worker count.
@@ -241,11 +214,11 @@ func TestGenerateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		if _, err := GenerateTrace(s, small, 1, workers, Params{Scale: 8}); err == nil {
+		if _, err := GenerateTraceArena(context.Background(), nil, s, small, 1, workers, Params{Scale: 8}); err == nil {
 			t.Errorf("undersized network accepted at %d workers", workers)
 		}
-		if _, _, err := GenerateMatrix(s, small, 1, workers, Params{Scale: 8}); err == nil {
-			t.Errorf("undersized network accepted for matrix at %d workers", workers)
+		if _, _, err := GenerateCSRArena(context.Background(), nil, s, small, 1, workers, Params{Scale: 8}); err == nil {
+			t.Errorf("undersized network accepted for CSR at %d workers", workers)
 		}
 	}
 }
@@ -268,7 +241,7 @@ func TestScaledNetwork(t *testing.T) {
 		}
 		// Every catalog scenario must be runnable on a scaled net.
 		for _, s := range Scenarios() {
-			if _, err := GenerateTrace(s, net, 2, 2, Params{Duration: 10, Rate: 2}); err != nil {
+			if _, err := GenerateTraceArena(context.Background(), nil, s, net, 2, 2, Params{Duration: 10, Rate: 2}); err != nil {
 				t.Errorf("ScaledNetwork(%d) cannot run %s: %v", hosts, s.Name(), err)
 			}
 		}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -9,11 +10,14 @@ import (
 )
 
 // The sparse-end-to-end parity suite: for every catalog scenario the
-// CSR analysis path (GenerateCSR → matrix.Matrix accessor) must
-// produce byte-identical results to the dense path on every analysis
-// helper and on the behaviour classifier. This is the tentpole
-// invariant that lets large runs skip dense materialization without
-// changing a single classification.
+// engine's aggregate (GenerateCSRArena) must equal the fold of the
+// materialized trace — sparse (Trace.SparseMatrixArena) and dense
+// (Trace.Matrix) — with matching run stats, and the CSR analysis path
+// (matrix.Matrix accessor) must produce byte-identical results to the
+// dense path on every analysis helper and on the behaviour
+// classifier. This is the invariant that lets the serving path skip
+// both trace and dense materialization without changing a single
+// classification.
 
 // parityNetworks are the sizes the suite checks: the paper's
 // standard 10-host network and a scaled one that exercises larger
@@ -32,15 +36,28 @@ func TestCatalogCSRAnalysisParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				coo, _, err := GenerateMatrix(s, net, 42, 0, Params{})
+				csr, stats, err := GenerateCSRArena(context.Background(), nil, s, net, 42, 0, Params{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				csr := coo.ToCSR()
-				dense := coo.ToDense()
-
+				trace, err := GenerateTraceArena(context.Background(), nil, s, net, 42, 0, Params{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				folded, dropped := trace.SparseMatrixArena(nil, net)
+				if !reflect.DeepEqual(csr, folded) {
+					t.Fatalf("hosts=%d: engine aggregate differs from the trace fold", net.Len())
+				}
+				want := Stats{Events: len(trace), Packets: trace.TotalPackets(), Dropped: dropped}
+				if stats != want {
+					t.Errorf("hosts=%d: stats %+v, trace says %+v", net.Len(), stats, want)
+				}
+				dense, denseDropped := trace.Matrix(net)
+				if denseDropped != dropped {
+					t.Errorf("hosts=%d: dense fold dropped %d, sparse fold %d", net.Len(), denseDropped, dropped)
+				}
 				if !csr.ToDense().Equal(dense) {
-					t.Fatalf("hosts=%d: CSR densifies differently from COO", net.Len())
+					t.Fatalf("hosts=%d: CSR densifies differently from the dense trace fold", net.Len())
 				}
 
 				dp, cp := matrix.ProfileOf(dense), matrix.ProfileOf(csr)
@@ -97,45 +114,5 @@ func TestCatalogCSRAnalysisParity(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGenerateCSRMatchesGenerateMatrix pins the convenience wrapper:
-// same seed, same stats, same matrix.
-func TestGenerateCSRMatchesGenerateMatrix(t *testing.T) {
-	s, ok := LookupScenario("ddos")
-	if !ok {
-		t.Fatal("ddos scenario missing")
-	}
-	net := ScaledNetwork(32)
-	coo, wantStats, err := GenerateMatrix(s, net, 7, 3, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	csr, gotStats, err := GenerateCSR(s, net, 7, 3, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotStats != wantStats {
-		t.Errorf("stats = %+v, want %+v", gotStats, wantStats)
-	}
-	if !csr.ToDense().Equal(coo.ToDense()) {
-		t.Error("GenerateCSR matrix differs from GenerateMatrix")
-	}
-	if csr.NNZ() != coo.Compact().Len() {
-		t.Errorf("nnz = %d, want %d", csr.NNZ(), coo.Compact().Len())
-	}
-	// Folding the materialized trace (twsim's aggregate path) must
-	// agree with direct sparse generation.
-	trace, err := GenerateTrace(s, net, 7, 3, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	folded, dropped := trace.SparseMatrix(net)
-	if dropped != wantStats.Dropped {
-		t.Errorf("SparseMatrix dropped = %d, want %d", dropped, wantStats.Dropped)
-	}
-	if !folded.ToDense().Equal(coo.ToDense()) {
-		t.Error("Trace.SparseMatrix differs from GenerateMatrix aggregate")
 	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -541,7 +542,7 @@ func Background(net *Network, rng *rand.Rand, duration, eventsPerSecond float64)
 	if duration <= 0 || eventsPerSecond <= 0 {
 		return nil, fmt.Errorf("netsim: duration and rate must be positive")
 	}
-	return GenerateTrace(backgroundScenario{}, net, rng.Int63(), 1,
+	return GenerateTraceArena(context.Background(), nil, backgroundScenario{}, net, rng.Int63(), 1,
 		Params{Duration: duration, Rate: eventsPerSecond})
 }
 
@@ -555,7 +556,7 @@ func Scan(net *Network, rng *rand.Rand, duration float64) (Trace, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("netsim: duration must be positive")
 	}
-	return GenerateTrace(scanScenario{}, net, rng.Int63(), 1, Params{Duration: duration})
+	return GenerateTraceArena(context.Background(), nil, scanScenario{}, net, rng.Int63(), 1, Params{Duration: duration})
 }
 
 // AttackScenario emits the four-stage notional attack, each stage
@@ -569,7 +570,7 @@ func AttackScenario(net *Network, rng *rand.Rand, duration float64) (Trace, []At
 		return nil, nil, fmt.Errorf("netsim: duration must be positive")
 	}
 	p := Params{Duration: duration}
-	trace, err := GenerateTrace(attackScenario{}, net, rng.Int63(), 1, p)
+	trace, err := GenerateTraceArena(context.Background(), nil, attackScenario{}, net, rng.Int63(), 1, p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -588,7 +589,7 @@ func DDoSScenario(net *Network, rng *rand.Rand, duration float64) (Trace, []DDoS
 		return nil, nil, fmt.Errorf("netsim: duration must be positive")
 	}
 	p := Params{Duration: duration}
-	trace, err := GenerateTrace(ddosScenario{}, net, rng.Int63(), 1, p)
+	trace, err := GenerateTraceArena(context.Background(), nil, ddosScenario{}, net, rng.Int63(), 1, p)
 	if err != nil {
 		return nil, nil, err
 	}

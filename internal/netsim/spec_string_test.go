@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -117,11 +118,11 @@ func TestSpecStringRoundTripTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tree %d: %q does not parse: %v", i, spec, err)
 		}
-		want, _, err := GenerateCSR(s, net, 5, 2, p)
+		want, _, err := GenerateCSRArena(context.Background(), nil, s, net, 5, 2, p)
 		if err != nil {
 			t.Fatalf("tree %d: original %q: %v", i, spec, err)
 		}
-		got, _, err := GenerateCSR(parsed, net, 5, 2, p)
+		got, _, err := GenerateCSRArena(context.Background(), nil, parsed, net, 5, 2, p)
 		if err != nil {
 			t.Fatalf("tree %d: reparsed %q: %v", i, spec, err)
 		}

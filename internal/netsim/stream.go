@@ -11,220 +11,74 @@ import (
 	"repro/internal/matrix"
 )
 
-// The streaming generation engine. The batch engine (generator.go)
-// materializes every event before any analysis runs, so memory scales
-// with duration×rate and nothing is observable mid-run. The two entry
-// points here keep the same chunked determinism contract while
-// bounding memory by chunk and window size instead of trace size:
-//
-//   - StreamTrace delivers the event stream itself, chunk by chunk in
-//     chunk order, holding at most a small reorder ring of chunk
-//     buffers — the raw feed for consumers that want events, not
-//     matrices.
-//   - StreamCSR folds events straight into an incremental per-window
-//     compactor (matrix.WindowCompactor) and finalizes each window —
-//     sealed CSR, in order — as soon as every chunk that could touch
-//     it has finished, using the ChunkSpanner time-locality contract.
-//     Time-to-first-window drops from O(run) to O(window) for
-//     time-local scenarios.
+// The generation engine. Every cold output — the whole-run
+// aggregate alone (GenerateCSRArena) or the aggregate plus its
+// fixed-length windows (StreamCSRArena) — comes out of one pass:
+// workers emit chunks into per-worker COO shards for the aggregate
+// and, when windows are asked for, into an incremental per-window
+// compactor (matrix.WindowCompactor) that finalizes each window —
+// sealed CSR, in order — as soon as every chunk that could touch it
+// has finished, using the ChunkSpanner time-locality contract. No
+// trace is materialized, so memory is bounded by the open windows
+// and the shards rather than by the run, and time-to-first-window
+// drops from O(run) to O(window) for time-local scenarios.
 //
 // Determinism survives because a window's CSR is a pure function of
 // the event multiset that lands in it: chunks derive all randomness
 // from (seed, chunk), window membership depends only on each event's
 // own timestamp, and COO compaction sorts by coordinate and sums —
 // commutative — so any worker count and any arrival order compact to
-// bit-identical windows. The batch-vs-stream parity suite
-// (stream_test.go) pins this across the catalog, composed specs, and
-// workers 1/4/16.
+// bit-identical windows. The engine-vs-trace parity suite
+// (stream_test.go) pins this against GenerateTraceArena's folds
+// across the catalog, composed specs, and workers 1/4/16.
 
-// TraceFrame is one in-order slice of a streamed trace: a run of
-// events from a single chunk, in that chunk's emission order. Frames
-// arrive in chunk order, so the concatenation of all frames equals
-// the batch engine's pre-sort trace exactly; a stable time sort of
-// the collected events reproduces GenerateTrace bit for bit.
-type TraceFrame struct {
-	// Chunk is the owning chunk's index.
-	Chunk int
-	// Events is the frame's slice of the chunk's emissions, at most
-	// the batch size handed to StreamTrace. The slice is only valid
-	// until the yield callback returns.
-	Events []Event
-}
-
-// StreamTrace generates the scenario and delivers its events through
-// yield as in-order frames without ever materializing the full trace:
-// workers generate chunks concurrently, a bounded reorder ring puts
-// the finished buffers back into chunk order, and a slow consumer
-// backpressures the producers, so peak memory is O(workers × chunk)
-// regardless of run length. batch caps the events per frame (≤ 0
-// delivers each chunk as one frame); empty chunks produce no frame.
-// A yield error or a cancelled ctx stops generation promptly and is
-// returned.
-func StreamTrace(ctx context.Context, s Scenario, net *Network, seed int64, workers int, p Params, batch int, yield func(TraceFrame) error) error {
-	return StreamTraceArena(ctx, nil, s, net, seed, workers, p, batch, yield)
-}
-
-// StreamTraceArena is StreamTrace with the chunk buffers pooled in an
-// arena (nil allocates fresh — identical frames either way). A
-// chunk's buffer recycles the moment its frames have been yielded,
-// which the TraceFrame contract already permits: frame slices are
-// only valid until the yield callback returns, so the ring's
-// steady-state footprint is a handful of slabs cycling through the
-// pool instead of one fresh allocation per chunk.
-func StreamTraceArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params, batch int, yield func(TraceFrame) error) error {
-	chunks, workers, pd, err := planRun(s, net, workers, p)
-	if err != nil {
-		return err
-	}
-	chunkHint := divHint(eventBudget(pd), chunks)
-	// The reorder ring: finished chunk buffers wait here until every
-	// earlier chunk has been delivered. Twice the worker count keeps
-	// workers busy across uneven chunk costs without growing the
-	// buffered set beyond O(workers).
-	ahead := 2 * workers
-	if ahead < 2 {
-		ahead = 2
-	}
-	type slot struct {
-		events []Event
-		ready  bool
-	}
-	ring := make([]slot, ahead)
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		frontier int // next chunk to deliver
-		next     int // next chunk to claim
-		firstErr error
-	)
-	// Cancellation must wake waiters parked on the cond var.
-	stopWake := context.AfterFunc(ctx, func() {
-		mu.Lock()
-		cond.Broadcast()
-		mu.Unlock()
-	})
-	defer stopWake()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for firstErr == nil && ctx.Err() == nil && next < chunks && next >= frontier+ahead {
-					cond.Wait()
-				}
-				if firstErr != nil || ctx.Err() != nil || next >= chunks {
-					mu.Unlock()
-					return
-				}
-				k := next
-				next++
-				mu.Unlock()
-
-				buf := a.GetEvents(chunkHint)
-				if err := s.Emit(net, chunkRNG(seed, k), pd, k, func(e Event) { buf = append(buf, e) }); err != nil {
-					a.PutEvents(buf)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					cond.Broadcast()
-					mu.Unlock()
-					return
-				}
-
-				mu.Lock()
-				ring[k%ahead] = slot{events: buf, ready: true}
-				// Drain the frontier while it is ready. Delivery happens
-				// under mu on purpose: a slow consumer stalls the ring,
-				// which stalls the claim loop — that is the memory bound.
-				for firstErr == nil && ctx.Err() == nil && frontier < chunks && ring[frontier%ahead].ready {
-					sl := &ring[frontier%ahead]
-					events := sl.events
-					chunk := frontier
-					*sl = slot{}
-					err := yieldFrames(chunk, events, batch, yield)
-					// Frames are only valid until yield returns, so the
-					// chunk's buffer is recyclable now — error or not.
-					a.PutEvents(events)
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						break
-					}
-					frontier++
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
-}
-
-// yieldFrames slices one chunk's events into batch-sized frames.
-func yieldFrames(chunk int, events []Event, batch int, yield func(TraceFrame) error) error {
-	if batch <= 0 || batch > len(events) {
-		batch = len(events)
-	}
-	for start := 0; start < len(events); start += batch {
-		end := start + batch
-		if end > len(events) {
-			end = len(events)
-		}
-		if err := yield(TraceFrame{Chunk: chunk, Events: events[start:end]}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// StreamCSR generates the scenario and streams its fixed-length
-// aggregation windows through onWindow, in order, each finalized —
-// compacted to CSR, builder storage released — the moment every
-// chunk whose time span overlaps it has completed. The sealed windows
-// are bit-identical to Trace.WindowsCSR over the batch trace with the
-// same windowLen and horizon, for any worker count. A horizon ≤ 0
-// uses the configured duration. The whole-run aggregate accumulates
-// in sharded COO alongside the fold (exactly GenerateMatrix) and is
-// returned as CSR with the run stats once the stream completes.
-// An onWindow error or a cancelled ctx stops generation at chunk
-// granularity and is returned; windows already delivered stay
-// delivered.
-func StreamCSR(ctx context.Context, s Scenario, net *Network, seed int64, workers int, p Params, windowLen, horizon float64, onWindow func(index int, w SparseWindow) error) (*matrix.CSR, Stats, error) {
-	return StreamCSRArena(ctx, nil, s, net, seed, workers, p, windowLen, horizon, onWindow)
-}
-
-// StreamCSRArena is StreamCSR with the window compactor's per-window
-// shards, the aggregate's worker shards, and the merge output pooled
-// in an arena (nil allocates fresh — bit-identical windows either
-// way). Window builders recycle at Seal, worker shards after the
-// final merge; the sealed window CSRs and the returned aggregate CSR
-// are always freshly allocated and the consumer's forever. On an
-// error mid-run, builders of never-sealed windows are left to the GC
-// rather than reclaimed — safe, since pooling is only an optimization
-// and error paths are off the steady-state loop.
+// StreamCSRArena generates the scenario and streams its
+// fixed-length aggregation windows through onWindow, in order, each
+// finalized — compacted to CSR, builder storage released — the
+// moment every chunk whose time span overlaps it has completed. The
+// sealed windows are bit-identical to Trace.WindowsCSRArena over the
+// trace with the same windowLen and horizon, for any worker count. A
+// horizon ≤ 0 uses the configured duration. The whole-run aggregate
+// accumulates in sharded COO alongside the fold (exactly
+// GenerateCSRArena) and is returned as CSR with the run stats once
+// the stream completes. An onWindow error or a cancelled ctx stops
+// generation at chunk granularity and is returned; windows already
+// delivered stay delivered.
+//
+// The window compactor's per-window shards, the aggregate's worker
+// shards, and the merge output are pooled in the arena (nil
+// allocates fresh — bit-identical windows either way). Window
+// builders recycle at Seal, worker shards after the final merge; the
+// sealed window CSRs and the returned aggregate CSR are always
+// freshly allocated and the consumer's forever. On an error mid-run,
+// builders of never-sealed windows are left to the GC rather than
+// reclaimed — safe, since pooling is only an optimization and error
+// paths are off the steady-state loop.
 func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params, windowLen, horizon float64, onWindow func(index int, w SparseWindow) error) (*matrix.CSR, Stats, error) {
 	if windowLen <= 0 {
 		return nil, Stats{}, fmt.Errorf("netsim: window length must be positive, got %g", windowLen)
 	}
+	return generate(ctx, a, s, net, seed, workers, p, windowLen, horizon, onWindow)
+}
+
+// generate is the engine behind GenerateCSRArena and StreamCSRArena.
+// windowLen 0 asks for the aggregate alone: no compactor is built and
+// onWindow is never called.
+func generate(ctx context.Context, a *Arena, s Scenario, net *Network, seed int64, workers int, p Params, windowLen, horizon float64, onWindow func(index int, w SparseWindow) error) (*matrix.CSR, Stats, error) {
 	chunks, workers, pd, err := planRun(s, net, workers, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if horizon <= 0 {
-		horizon = pd.Duration
-	}
-	nw := int(math.Ceil(horizon / windowLen))
-	if nw < 1 {
-		nw = 1
+	windowed := windowLen > 0
+	nw := 0
+	if windowed {
+		if horizon <= 0 {
+			horizon = pd.Duration
+		}
+		nw = int(math.Ceil(horizon / windowLen))
+		if nw < 1 {
+			nw = 1
+		}
 	}
 	n := net.Len()
 
@@ -232,31 +86,34 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 	// how many chunks can touch each window (difference array keeps
 	// this O(chunks + windows)). pending[w] hitting zero is the signal
 	// that window w is sealed.
-	lo := make([]int32, chunks)
-	hi := make([]int32, chunks)
-	diff := make([]int32, nw+1)
-	for k := 0; k < chunks; k++ {
-		start, end := chunkSpan(s, net, pd, k)
-		wlo := 0
-		if w, ok := windowIndex(start, windowLen, horizon, nw); ok {
-			wlo = w
-		}
-		whi := nw - 1
-		if w, ok := windowIndex(end, windowLen, horizon, nw); ok {
-			whi = w
-		}
-		if whi < wlo {
-			whi = wlo
-		}
-		lo[k], hi[k] = int32(wlo), int32(whi)
-		diff[wlo]++
-		diff[whi+1]--
-	}
+	var lo, hi []int32
 	pending := make([]atomic.Int32, nw)
-	run := int32(0)
-	for w := 0; w < nw; w++ {
-		run += diff[w]
-		pending[w].Store(run)
+	if windowed {
+		lo = make([]int32, chunks)
+		hi = make([]int32, chunks)
+		diff := make([]int32, nw+1)
+		for k := 0; k < chunks; k++ {
+			start, end := chunkSpan(s, net, pd, k)
+			wlo := 0
+			if w, ok := windowIndex(start, windowLen, horizon, nw); ok {
+				wlo = w
+			}
+			whi := nw - 1
+			if w, ok := windowIndex(end, windowLen, horizon, nw); ok {
+				whi = w
+			}
+			if whi < wlo {
+				whi = wlo
+			}
+			lo[k], hi[k] = int32(wlo), int32(whi)
+			diff[wlo]++
+			diff[whi+1]--
+		}
+		run := int32(0)
+		for w := 0; w < nw; w++ {
+			run += diff[w]
+			pending[w].Store(run)
+		}
 	}
 
 	budget := eventBudget(pd)
@@ -326,6 +183,9 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 			} else {
 				st.Dropped += e.Packets
 			}
+			if !windowed {
+				return
+			}
 			wi, ok := windowIndex(e.Time, windowLen, horizon, nw)
 			if !ok {
 				return
@@ -346,6 +206,9 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 		}); err != nil {
 			return err
 		}
+		if !windowed {
+			return nil
+		}
 		// The chunk is done: release its windows and flush any that
 		// sealed. Only a decrement that hits zero can move the
 		// frontier, so the lock is taken only then.
@@ -364,6 +227,7 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 		return nil
 	})
 	if err != nil {
+		releaseShards(shards)
 		return nil, Stats{}, err
 	}
 	// All chunks completed, so every pending count is zero: flush the
@@ -378,11 +242,12 @@ func StreamCSRArena(ctx context.Context, a *Arena, s Scenario, net *Network, see
 	}
 
 	merged, err := matrix.MergeCOOArena(ctx, a.Matrix(), shards...)
+	// The merge copied every triple out (or failed): either way the
+	// shards are dead now.
+	releaseShards(shards)
 	if err != nil {
-		releaseShards(shards)
 		return nil, Stats{}, err
 	}
-	releaseShards(shards)
 	var stats Stats
 	for _, st := range partial {
 		stats.Events += st.Events

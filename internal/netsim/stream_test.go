@@ -7,33 +7,49 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/matrix"
 )
 
-// batchWindows computes the reference spatial-temporal view the
-// streaming engine must reproduce bit for bit: the batch trace split
-// by WindowsCSR over the full configured duration.
-func batchWindows(t *testing.T, s Scenario, net *Network, seed int64, p Params, windowLen float64) []SparseWindow {
-	t.Helper()
-	trace, err := GenerateTrace(s, net, seed, 4, p)
-	if err != nil {
-		t.Fatalf("GenerateTrace(%s): %v", SpecString(s), err)
-	}
-	wins, err := trace.WindowsCSR(net, windowLen, p.withDefaults().Duration)
-	if err != nil {
-		t.Fatalf("WindowsCSR(%s): %v", SpecString(s), err)
-	}
-	return wins
+// traceReference is what the streaming engine must reproduce bit for
+// bit, computed the other way round: the materialized trace
+// (GenerateTraceArena) split by WindowsCSRArena over the full
+// configured duration, folded whole by SparseMatrixArena, and the run
+// stats the trace implies. None of it runs through the engine, so the
+// comparison stays two-sided.
+type traceReference struct {
+	windows []SparseWindow
+	agg     *matrix.CSR
+	stats   Stats
 }
 
-// collectStream runs StreamCSR and gathers the delivered windows,
-// asserting in-order delivery as it goes.
-func collectStream(t *testing.T, s Scenario, net *Network, seed int64, workers int, p Params, windowLen float64) []SparseWindow {
+func referenceFromTrace(t *testing.T, s Scenario, net *Network, seed int64, p Params, windowLen float64) traceReference {
+	t.Helper()
+	trace, err := GenerateTraceArena(context.Background(), nil, s, net, seed, 4, p)
+	if err != nil {
+		t.Fatalf("GenerateTraceArena(%s): %v", SpecString(s), err)
+	}
+	wins, err := trace.WindowsCSRArena(context.Background(), nil, net, windowLen, p.withDefaults().Duration)
+	if err != nil {
+		t.Fatalf("WindowsCSRArena(%s): %v", SpecString(s), err)
+	}
+	agg, dropped := trace.SparseMatrixArena(nil, net)
+	return traceReference{
+		windows: wins,
+		agg:     agg,
+		stats:   Stats{Events: len(trace), Packets: trace.TotalPackets(), Dropped: dropped},
+	}
+}
+
+// collectStream runs StreamCSRArena and gathers the delivered
+// windows, asserting in-order delivery as it goes, and checks the
+// returned aggregate and stats against the trace reference.
+func collectStream(t *testing.T, s Scenario, net *Network, seed int64, workers int, p Params, windowLen float64, want traceReference) []SparseWindow {
 	t.Helper()
 	var got []SparseWindow
-	csr, stats, err := StreamCSR(context.Background(), s, net, seed, workers, p, windowLen, 0, func(k int, w SparseWindow) error {
+	csr, stats, err := StreamCSRArena(context.Background(), nil, s, net, seed, workers, p, windowLen, 0, func(k int, w SparseWindow) error {
 		if k != len(got) {
 			t.Fatalf("%s: window %d delivered out of order (expected %d)", SpecString(s), k, len(got))
 		}
@@ -41,19 +57,13 @@ func collectStream(t *testing.T, s Scenario, net *Network, seed int64, workers i
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("StreamCSR(%s): %v", SpecString(s), err)
+		t.Fatalf("StreamCSRArena(%s): %v", SpecString(s), err)
 	}
-
-	// The aggregate and stats must match the batch sparse path exactly.
-	wantCSR, wantStats, err := GenerateCSR(s, net, seed, 4, p)
-	if err != nil {
-		t.Fatalf("GenerateCSR(%s): %v", SpecString(s), err)
+	if !reflect.DeepEqual(csr, want.agg) {
+		t.Errorf("%s: streamed aggregate CSR differs from the trace fold", SpecString(s))
 	}
-	if !reflect.DeepEqual(csr, wantCSR) {
-		t.Errorf("%s: streamed aggregate CSR differs from GenerateCSR", SpecString(s))
-	}
-	if stats != wantStats {
-		t.Errorf("%s: streamed stats = %+v, want %+v", SpecString(s), stats, wantStats)
+	if stats != want.stats {
+		t.Errorf("%s: streamed stats = %+v, want %+v", SpecString(s), stats, want.stats)
 	}
 	return got
 }
@@ -74,7 +84,7 @@ func compareWindows(t *testing.T, label string, got, want []SparseWindow) {
 			t.Errorf("%s window %d: events/dropped = %d/%d, want %d/%d", label, k, g.Events, g.Dropped, w.Events, w.Dropped)
 		}
 		if !reflect.DeepEqual(g.Matrix, w.Matrix) {
-			t.Errorf("%s window %d: streamed CSR not bit-identical to batch", label, k)
+			t.Errorf("%s window %d: streamed CSR not bit-identical to the trace reference", label, k)
 		}
 	}
 }
@@ -82,18 +92,18 @@ func compareWindows(t *testing.T, label string, got, want []SparseWindow) {
 // TestStreamCSRCatalogParity is the tentpole contract over the whole
 // catalog: for every entry, for workers 1, 4 and 16, and for three
 // window lengths (including one that does not divide the duration),
-// the streamed windows are bit-identical to the batch WindowsCSR
-// view and the aggregate matches GenerateCSR.
+// the streamed windows are bit-identical to the trace's
+// WindowsCSRArena view and the aggregate matches the trace fold.
 func TestStreamCSRCatalogParity(t *testing.T) {
 	net := StandardNetwork()
 	p := Params{Duration: 20, Rate: 6}
 	for _, s := range Scenarios() {
 		for _, workers := range []int{1, 4, 16} {
 			for _, windowLen := range []float64{1, 2.5, 7} {
-				want := batchWindows(t, s, net, 42, p, windowLen)
-				got := collectStream(t, s, net, 42, workers, p, windowLen)
+				want := referenceFromTrace(t, s, net, 42, p, windowLen)
+				got := collectStream(t, s, net, 42, workers, p, windowLen, want)
 				label := s.Name()
-				compareWindows(t, label, got, want)
+				compareWindows(t, label, got, want.windows)
 				if t.Failed() {
 					t.Fatalf("parity broken at %s workers=%d window=%g", label, workers, windowLen)
 				}
@@ -114,9 +124,9 @@ func TestStreamCSRScaledNetworkParity(t *testing.T) {
 			t.Fatalf("catalog missing %q", name)
 		}
 		for _, workers := range []int{1, 4, 16} {
-			want := batchWindows(t, s, net, 99, p, 3)
-			got := collectStream(t, s, net, 99, workers, p, 3)
-			compareWindows(t, name, got, want)
+			want := referenceFromTrace(t, s, net, 99, p, 3)
+			got := collectStream(t, s, net, 99, workers, p, 3, want)
+			compareWindows(t, name, got, want.windows)
 		}
 	}
 }
@@ -138,65 +148,19 @@ func TestStreamCSRComposedParity(t *testing.T) {
 		// Some random trees are invalid configurations (a sequence
 		// whose timed steps overrun the duration). Batch rejects them;
 		// the stream must reject them identically, not half-run.
-		if _, batchErr := GenerateTrace(s, net, int64(i), 4, p); batchErr != nil {
-			_, _, streamErr := StreamCSR(context.Background(), s, net, int64(i), 4, p, windowLen, 0,
+		if _, batchErr := GenerateTraceArena(context.Background(), nil, s, net, int64(i), 4, p); batchErr != nil {
+			_, _, streamErr := StreamCSRArena(context.Background(), nil, s, net, int64(i), 4, p, windowLen, 0,
 				func(int, SparseWindow) error { return nil })
 			if streamErr == nil || streamErr.Error() != batchErr.Error() {
 				t.Fatalf("tree %d (%s): batch rejects with %q, stream says %v", i, SpecString(s), batchErr, streamErr)
 			}
 			continue
 		}
-		want := batchWindows(t, s, net, int64(i), p, windowLen)
-		got := collectStream(t, s, net, int64(i), workerSets[i%len(workerSets)], p, windowLen)
-		compareWindows(t, SpecString(s), got, want)
+		want := referenceFromTrace(t, s, net, int64(i), p, windowLen)
+		got := collectStream(t, s, net, int64(i), workerSets[i%len(workerSets)], p, windowLen, want)
+		compareWindows(t, SpecString(s), got, want.windows)
 		if t.Failed() {
 			t.Fatalf("composed parity broken at tree %d: %s", i, SpecString(s))
-		}
-	}
-}
-
-// TestStreamTraceParity pins the raw event stream: for catalog
-// entries across worker counts and frame batch sizes, frames arrive
-// in chunk order, respect the batch cap, and concatenate+sort to the
-// exact batch trace.
-func TestStreamTraceParity(t *testing.T) {
-	net := StandardNetwork()
-	p := Params{Duration: 15, Rate: 8}
-	for _, name := range []string{"background", "scan", "ddos", "exfil"} {
-		s, ok := LookupScenario(name)
-		if !ok {
-			t.Fatalf("catalog missing %q", name)
-		}
-		want, err := GenerateTrace(s, net, 7, 4, p)
-		if err != nil {
-			t.Fatalf("GenerateTrace(%s): %v", name, err)
-		}
-		for _, workers := range []int{1, 4, 16} {
-			for _, batch := range []int{0, 1, 7} {
-				var got Trace
-				lastChunk := -1
-				err := StreamTrace(context.Background(), s, net, 7, workers, p, batch, func(f TraceFrame) error {
-					if f.Chunk < lastChunk {
-						t.Fatalf("%s: frame for chunk %d after chunk %d", name, f.Chunk, lastChunk)
-					}
-					lastChunk = f.Chunk
-					if len(f.Events) == 0 {
-						t.Fatalf("%s: empty frame for chunk %d", name, f.Chunk)
-					}
-					if batch > 0 && len(f.Events) > batch {
-						t.Fatalf("%s: frame of %d events exceeds batch %d", name, len(f.Events), batch)
-					}
-					got = append(got, f.Events...)
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("StreamTrace(%s): %v", name, err)
-				}
-				got.Sort()
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s workers=%d batch=%d: streamed trace differs from batch", name, workers, batch)
-				}
-			}
 		}
 	}
 }
@@ -265,7 +229,7 @@ func TestStreamCSRFirstWindowBeforeCompletion(t *testing.T) {
 	p := Params{Duration: 600, Rate: 2}
 	firstAt := -1
 	windows := 0
-	_, _, err := StreamCSR(context.Background(), s, net, 3, 4, p, 10, 0, func(k int, w SparseWindow) error {
+	_, _, err := StreamCSRArena(context.Background(), nil, s, net, 3, 4, p, 10, 0, func(k int, w SparseWindow) error {
 		if windows == 0 {
 			firstAt = k
 		}
@@ -273,7 +237,7 @@ func TestStreamCSRFirstWindowBeforeCompletion(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("StreamCSR: %v", err)
+		t.Fatalf("StreamCSRArena: %v", err)
 	}
 	if firstAt != 0 || windows != 60 {
 		t.Fatalf("first window index %d, %d windows delivered; want 0 and 60", firstAt, windows)
@@ -285,11 +249,11 @@ func TestStreamCSRFirstWindowBeforeCompletion(t *testing.T) {
 	// full run. The CI benchmark (stream_bench_test.go) measures the
 	// real latency ratio; here we only pin the early-exit plumbing.
 	stop := errors.New("stop")
-	_, _, err = StreamCSR(context.Background(), s, net, 3, 4, p, 10, 0, func(k int, w SparseWindow) error {
+	_, _, err = StreamCSRArena(context.Background(), nil, s, net, 3, 4, p, 10, 0, func(k int, w SparseWindow) error {
 		return stop
 	})
 	if !errors.Is(err, stop) {
-		t.Fatalf("StreamCSR after onWindow error = %v, want stop", err)
+		t.Fatalf("StreamCSRArena after onWindow error = %v, want stop", err)
 	}
 }
 
@@ -309,13 +273,13 @@ func TestStreamCSRCancellation(t *testing.T) {
 	defer cancel()
 	windows := 0
 	start := time.Now()
-	_, _, err := StreamCSR(ctx, s, net, 9, 4, p, 5, 0, func(k int, w SparseWindow) error {
+	_, _, err := StreamCSRArena(ctx, nil, s, net, 9, 4, p, 5, 0, func(k int, w SparseWindow) error {
 		windows++
 		cancel()
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("StreamCSR after cancel = %v, want context.Canceled", err)
+		t.Fatalf("StreamCSRArena after cancel = %v, want context.Canceled", err)
 	}
 	if windows == 0 {
 		t.Fatal("cancelled before any window was delivered")
@@ -341,59 +305,6 @@ func TestStreamCSRCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamTraceCancellation pins the same for the raw event stream,
-// including waking workers parked on the reorder ring's cond var.
-func TestStreamTraceCancellation(t *testing.T) {
-	s, ok := LookupScenario("background")
-	if !ok {
-		t.Fatal("catalog missing background")
-	}
-	net := StandardNetwork()
-	p := Params{Duration: 3600, Rate: 2}
-	before := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var frames atomic.Int64
-	err := StreamTrace(ctx, s, net, 9, 8, p, 0, func(f TraceFrame) error {
-		if frames.Add(1) == 3 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("StreamTrace after cancel = %v, want context.Canceled", err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not drain: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestStreamTraceYieldError pins that a consumer error aborts the
-// stream and is returned verbatim.
-func TestStreamTraceYieldError(t *testing.T) {
-	s, ok := LookupScenario("background")
-	if !ok {
-		t.Fatal("catalog missing background")
-	}
-	boom := errors.New("boom")
-	err := StreamTrace(context.Background(), s, StandardNetwork(), 1, 4, Params{Duration: 100}, 0, func(f TraceFrame) error {
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("StreamTrace = %v, want boom", err)
-	}
-}
-
 // TestStreamCSRInvalidWindow pins the argument taxonomy: a
 // non-positive window length is rejected before any generation.
 func TestStreamCSRInvalidWindow(t *testing.T) {
@@ -402,9 +313,9 @@ func TestStreamCSRInvalidWindow(t *testing.T) {
 		t.Fatal("catalog missing background")
 	}
 	for _, bad := range []float64{0, -1} {
-		_, _, err := StreamCSR(context.Background(), s, StandardNetwork(), 1, 1, Params{}, bad, 0, func(int, SparseWindow) error { return nil })
+		_, _, err := StreamCSRArena(context.Background(), nil, s, StandardNetwork(), 1, 1, Params{}, bad, 0, func(int, SparseWindow) error { return nil })
 		if err == nil {
-			t.Fatalf("StreamCSR accepted window length %g", bad)
+			t.Fatalf("StreamCSRArena accepted window length %g", bad)
 		}
 	}
 }

@@ -11,14 +11,15 @@ import (
 	"repro/internal/matrix"
 )
 
-// The sparse streaming window engine. The historical dense Windows
-// re-scanned the whole trace once per window (O(W·E)) and
-// materialized an n² Dense for every interval; WindowsCSR folds the
-// trace into per-window COO shards in a single pass (O(E)) and
-// compacts each shard to CSR in parallel, so the spatial-temporal
-// view costs O(E + nnz·log nnz) no matter how many windows the
-// horizon splits into. Windows (events.go) densifies this result,
-// and the bridge and twsim consume it directly.
+// The trace-side window fold. The historical dense Windows re-scanned
+// the whole trace once per window (O(W·E)) and materialized an n²
+// Dense for every interval; WindowsCSRArena folds the trace into
+// per-window COO shards in a single pass (O(E)) and compacts each
+// shard to CSR in parallel, so the spatial-temporal view costs
+// O(E + nnz·log nnz) no matter how many windows the horizon splits
+// into. Windows (events.go) densifies this result, the bridge's
+// campaign timeline consumes it directly, and the parity suites use
+// it as the reference for the engine's streamed windows.
 
 // SparseWindow is one aggregation interval with its traffic matrix
 // in CSR form.
@@ -72,34 +73,26 @@ func windowIndex(t, windowLen, horizon float64, nw int) (int, bool) {
 	return w, true
 }
 
-// WindowsCSR splits the trace into ⌈horizon/windowLen⌉ fixed-length
-// aggregation windows starting at 0, without ever materializing a
-// dense matrix: one linear pass assigns each event to its window's
-// COO shard, then the shards compact to CSR concurrently. A horizon
-// of 0 uses the trace duration rounded up to a whole window. Every
-// window spans its full windowLen (a horizon mid-window keeps the
-// final window's complete range), and an event at exactly the
-// horizon lands in the final window; only events beyond the last
-// window's end are excluded. The trace does not need to be sorted —
-// window membership depends only on each event's own timestamp.
-func (t Trace) WindowsCSR(net *Network, windowLen, horizon float64) ([]SparseWindow, error) {
-	return t.WindowsCSRContext(context.Background(), net, windowLen, horizon)
-}
-
-// WindowsCSRContext is WindowsCSR with cancellation: the linear fold
-// checks the context every few thousand events and the parallel
-// compaction loop checks it between windows, so a cancelled request
-// stops splitting a large trace instead of finishing the whole
-// spatial-temporal view.
-func (t Trace) WindowsCSRContext(ctx context.Context, net *Network, windowLen, horizon float64) ([]SparseWindow, error) {
-	return t.WindowsCSRArena(ctx, nil, net, windowLen, horizon)
-}
-
-// WindowsCSRArena is WindowsCSRContext with each window's COO shard
-// pooled in an arena (nil allocates fresh — identical windows either
-// way). Shards are pre-sized to the trace's per-window average and
-// release into the arena as soon as they compact; the returned
-// windows' CSR arrays are always freshly allocated, never pooled.
+// WindowsCSRArena splits the trace into ⌈horizon/windowLen⌉
+// fixed-length aggregation windows starting at 0, without ever
+// materializing a dense matrix: one linear pass assigns each event to
+// its window's COO shard, then the shards compact to CSR
+// concurrently. A horizon of 0 uses the trace duration rounded up to
+// a whole window. Every window spans its full windowLen (a horizon
+// mid-window keeps the final window's complete range), and an event
+// at exactly the horizon lands in the final window; only events
+// beyond the last window's end are excluded. The trace does not need
+// to be sorted — window membership depends only on each event's own
+// timestamp.
+//
+// The linear fold checks ctx every few thousand events and the
+// parallel compaction loop checks it between windows, so a cancelled
+// caller stops splitting a large trace instead of finishing the
+// whole spatial-temporal view. Each window's COO shard is pooled in
+// the arena (nil allocates fresh — identical windows either way):
+// shards are pre-sized to the trace's per-window average and release
+// into the arena as soon as they compact; the returned windows' CSR
+// arrays are always freshly allocated, never pooled.
 func (t Trace) WindowsCSRArena(ctx context.Context, a *Arena, net *Network, windowLen, horizon float64) ([]SparseWindow, error) {
 	if net == nil {
 		return nil, fmt.Errorf("netsim: nil network")

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -175,17 +176,17 @@ func TestWindowsFullFinalWindowOnTruncatingHorizon(t *testing.T) {
 // TestWindowsCSRRejectsBadInput pins the error paths.
 func TestWindowsCSRRejectsBadInput(t *testing.T) {
 	net := StandardNetwork()
-	if _, err := (Trace{}).WindowsCSR(net, 0, 10); err == nil {
+	if _, err := (Trace{}).WindowsCSRArena(context.Background(), nil, net, 0, 10); err == nil {
 		t.Error("zero window length accepted")
 	}
-	if _, err := (Trace{}).WindowsCSR(net, -1, 10); err == nil {
+	if _, err := (Trace{}).WindowsCSRArena(context.Background(), nil, net, -1, 10); err == nil {
 		t.Error("negative window length accepted")
 	}
-	if _, err := (Trace{}).WindowsCSR(nil, 1, 10); err == nil {
+	if _, err := (Trace{}).WindowsCSRArena(context.Background(), nil, nil, 1, 10); err == nil {
 		t.Error("nil network accepted")
 	}
 	// An empty trace with a default horizon still yields one window.
-	windows, err := (Trace{}).WindowsCSR(net, 5, 0)
+	windows, err := (Trace{}).WindowsCSRArena(context.Background(), nil, net, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestCatalogWindowingParity(t *testing.T) {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			for _, net := range []*Network{StandardNetwork(), ScaledNetwork(64)} {
-				trace, err := GenerateTrace(s, net, 42, 0, Params{})
+				trace, err := GenerateTraceArena(context.Background(), nil, s, net, 42, 0, Params{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,7 +236,7 @@ func TestCatalogWindowingParity(t *testing.T) {
 					{"non-multiple default horizon", 7.5, 0},
 					{"explicit truncating horizon", 10, 25},
 				} {
-					sparse, err := trace.WindowsCSR(net, cfg.windowLen, cfg.horiz)
+					sparse, err := trace.WindowsCSRArena(context.Background(), nil, net, cfg.windowLen, cfg.horiz)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -262,7 +263,7 @@ func TestCatalogWindowingParity(t *testing.T) {
 func TestWindowsCSRSortInsensitive(t *testing.T) {
 	net := StandardNetwork()
 	s, _ := LookupScenario("background")
-	trace, err := GenerateTrace(s, net, 11, 0, Params{})
+	trace, err := GenerateTraceArena(context.Background(), nil, s, net, 11, 0, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +271,11 @@ func TestWindowsCSRSortInsensitive(t *testing.T) {
 	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	a, err := trace.WindowsCSR(net, 10, 0)
+	a, err := trace.WindowsCSRArena(context.Background(), nil, net, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := shuffled.WindowsCSR(net, 10, 0)
+	b, err := shuffled.WindowsCSRArena(context.Background(), nil, net, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func benchTrace(b *testing.B, hosts, scale int) (Trace, *Network) {
 	if !ok {
 		b.Fatal("flashcrowd scenario missing")
 	}
-	trace, err := GenerateTrace(s, net, 42, 0, Params{Scale: scale})
+	trace, err := GenerateTraceArena(context.Background(), nil, s, net, 42, 0, Params{Scale: scale})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func BenchmarkWindowing(b *testing.B) {
 			b.Run("sparse-csr", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := trace.WindowsCSR(net, 5, 40); err != nil {
+					if _, err := trace.WindowsCSRArena(context.Background(), nil, net, 5, 40); err != nil {
 						b.Fatal(err)
 					}
 				}
