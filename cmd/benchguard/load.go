@@ -8,20 +8,16 @@ import (
 	"repro/internal/loadreport"
 )
 
-// loadFile is the combined load snapshot a CI smoke job assembles.
-// Two shapes exist, distinguished by which fields are present:
+// loadFile is the combined load snapshot a CI smoke job assembles:
 //
-//   - PR 8 (sharded core):   {"single": …, "sharded": …}
-//   - PR 9 (cluster proxy):  {"direct": …, "proxy": …, "membership": …}
+//	{"direct": …, "proxy": …, "membership": …}
 //
 // where direct is twload against one backend twserve, proxy is the
 // same load through `twserve -proxy` fronting the backends, and
 // membership is a proxy run during which a backend was added and
-// removed mid-load.
+// removed mid-load. Any run may be absent; a snapshot with none is
+// rejected.
 type loadFile struct {
-	Single  *loadreport.Summary `json:"single,omitempty"`
-	Sharded *loadreport.Summary `json:"sharded,omitempty"`
-
 	Direct     *loadreport.Summary `json:"direct,omitempty"`
 	Proxy      *loadreport.Summary `json:"proxy,omitempty"`
 	Membership *loadreport.Summary `json:"membership,omitempty"`
@@ -39,13 +35,12 @@ type loadFile struct {
 //     steady-state run (the cache and spec affinity are working — a
 //     misrouted respelling or a poisoned cache collapses this gap;
 //     the churning membership run is exempt from latency shape);
-//   - sharded throughput ≥ minSpeedup × single (PR 8 pair);
 //   - proxy cold p50 ≤ maxOverhead × direct cold p50 (the HTTP hop
 //     may tax the compute-bound floor only so much);
 //   - the proxy run's warm-class cache hit rate ≥ minHitRate (ring
 //     affinity holds across processes: warm repeats keep landing on
 //     the backend already holding the run).
-func runLoadGate(path string, warmFactor, minSpeedup, maxOverhead, minHitRate float64) int {
+func runLoadGate(path string, warmFactor, maxOverhead, minHitRate float64) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: read load snapshot: %v\n", err)
@@ -74,8 +69,6 @@ func runLoadGate(path string, warmFactor, minSpeedup, maxOverhead, minHitRate fl
 		// membership-churn run only has to stay error-free.
 		steady bool
 	}{
-		{"single", lf.Single, true},
-		{"sharded", lf.Sharded, true},
 		{"direct", lf.Direct, true},
 		{"proxy", lf.Proxy, true},
 		{"membership", lf.Membership, false},
@@ -104,12 +97,6 @@ func runLoadGate(path string, warmFactor, minSpeedup, maxOverhead, minHitRate fl
 	if present == 0 {
 		fmt.Fprintf(os.Stderr, "benchguard: %s holds no load runs benchguard knows\n", path)
 		return 2
-	}
-
-	if lf.Single != nil && lf.Sharded != nil && lf.Single.Throughput > 0 {
-		check(lf.Sharded.Throughput >= minSpeedup*lf.Single.Throughput,
-			"sharded throughput %.1f req/s ≥ %g × single %.1f req/s",
-			lf.Sharded.Throughput, minSpeedup, lf.Single.Throughput)
 	}
 
 	if lf.Direct != nil && lf.Proxy != nil {

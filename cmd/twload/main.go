@@ -30,8 +30,9 @@
 // internal/loadreport), so warm-vs-cold p50 is directly visible; the
 // harness's benchguard -load mode asserts the invariants that hold on
 // any machine. Before the run twload asks GET /v1/stats for the
-// server's worker count and records it in the summary, making a
-// summary file self-describing when comparing -workers 1 vs 4.
+// server's worker count and records it in the summary (1 for a
+// direct twserve, one per backend behind a -proxy), making a summary
+// file self-describing when comparing direct and proxied runs.
 package main
 
 import (
@@ -141,7 +142,7 @@ var warmSet = []api.GenerateRequest{
 	loadShape(coldSpec, 14),
 }
 
-// composedSet exercises the spec grammar and the router's canonical
+// composedSet exercises the spec grammar and the service's canonical
 // keying (both spellings of the first spec are one cache line).
 var composedSet = []string{
 	"overlay(background, sequence(scan, ddos))",

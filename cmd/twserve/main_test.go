@@ -222,6 +222,54 @@ func TestSessionsAndRootEndpoints(t *testing.T) {
 	}
 }
 
+// TestRootRouteListsStats keeps the index honest about the stats route.
+func TestRootRouteListsStats(t *testing.T) {
+	srv := newTestServer(t)
+	resp, err := http.Get(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	idx := decode[map[string]string](t, resp)
+	if !strings.Contains(idx["routes"], "/v1/stats") {
+		t.Errorf("root route listing omits /v1/stats: %q", idx["routes"])
+	}
+}
+
+// TestStatsEndpointReportsFleet: /v1/stats reports the process as a
+// one-entry workers list with a per-stripe cache breakdown — the
+// shape the load harness scrapes and a cluster proxy aggregates.
+func TestStatsEndpointReportsFleet(t *testing.T) {
+	srv := newTestServer(t)
+	// Warm a few specs so the counters are non-trivial.
+	for _, spec := range []string{"scan", "ddos", "worm"} {
+		resp := postJSON(t, srv.URL+"/v1/generate",
+			api.GenerateRequest{Spec: spec, Seed: 1, Workers: 1, Duration: 4})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", spec, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	rep := decode[api.StatsReport](t, resp)
+	if rep.Version != api.Version || len(rep.Workers) != 1 || rep.Workers[0].Worker != 0 {
+		t.Fatalf("stats = version %q, workers %+v", rep.Version, rep.Workers)
+	}
+	if rep.Cluster != nil {
+		t.Errorf("direct server reports a cluster rollup: %+v", rep.Cluster)
+	}
+	w := rep.Workers[0]
+	if len(w.Cache.Shards) == 0 {
+		t.Error("no per-shard cache breakdown")
+	}
+	if w.Cache.Len != 3 {
+		t.Errorf("server holds %d cached runs, want 3", w.Cache.Len)
+	}
+}
+
 // TestGenerateEndpointIncludeMatrices: the wire form can carry the
 // dense grids when asked.
 func TestGenerateEndpointIncludeMatrices(t *testing.T) {

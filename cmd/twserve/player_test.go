@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/cluster"
 	"repro/internal/player"
+	"repro/internal/serve"
 )
 
 // newPlayerServer stands up the route table over a service whose
@@ -21,13 +23,20 @@ func newPlayerServer(t *testing.T, eng *player.Engine) *httptest.Server {
 	return srv
 }
 
-// TestHealthzEndpoint: the liveness probe answers statically in every
-// topology — no core round-trip, so CI's boot-wait can poll it before
-// the first (possibly expensive) real request.
+// TestHealthzEndpoint: the liveness probe answers statically in both
+// modes — no core round-trip, so CI's boot-wait can poll it before
+// the first (possibly expensive) real request, and a proxy answers it
+// even with no backend reachable.
 func TestHealthzEndpoint(t *testing.T) {
+	cl, err := cluster.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httptest.NewServer(serve.NewProxyMux(cl, cl))
+	t.Cleanup(proxy.Close)
 	for name, srv := range map[string]*httptest.Server{
 		"single": newTestServer(t),
-		"pool":   newPoolServer(t, 4),
+		"proxy":  proxy,
 	} {
 		resp, err := http.Get(srv.URL + "/v1/healthz")
 		if err != nil {

@@ -10,8 +10,9 @@ import (
 
 // Core is the full façade surface a front-end serves: every request
 // method plus the observability probes. A single *Service implements
-// it, and so does router.Pool — which is what lets twserve swap one
-// worker for a sharded fleet without the route table noticing.
+// it, and so does cluster.Cluster — which is what lets twserve serve
+// one process's service or a proxy over many backend processes
+// without the route table noticing.
 type Core interface {
 	Generate(ctx context.Context, req GenerateRequest) (*GenerateResult, error)
 	GenerateStream(ctx context.Context, req GenerateRequest, emit func(StreamFrame) error) error
@@ -47,11 +48,11 @@ type WorkerStats struct {
 }
 
 // BackendStats is one backend process's summary inside a cluster
-// proxy's StatsReport: its base URL, how many in-process workers it
-// fronts, its fleet-aggregate cache counters, and its in-flight
-// session count. A backend that failed its stats probe reports the
-// error instead (its counters zero) — the cluster report stays
-// servable when one member is down.
+// proxy's StatsReport: its base URL, how many workers its own
+// /v1/stats reported (one per twserve process), its aggregate cache
+// counters, and its in-flight session count. A backend that failed
+// its stats probe reports the error instead (its counters zero) —
+// the cluster report stays servable when one member is down.
 type BackendStats struct {
 	Backend  string     `json:"backend"`
 	Workers  int        `json:"workers"`
@@ -74,9 +75,9 @@ type ClusterStats struct {
 
 // StatsReport is the /v1/stats payload: per-worker, per-shard
 // observability for a served deployment. A single service reports
-// one worker; a router pool reports one entry per worker; a cluster
-// proxy reports every backend's workers (renumbered fleet-wide,
-// each tagged with its backend URL) plus the Cluster rollup.
+// one worker; a cluster proxy reports every backend's workers
+// (renumbered cluster-wide, each tagged with its backend URL) plus
+// the Cluster rollup.
 type StatsReport struct {
 	Version string        `json:"version"`
 	Workers []WorkerStats `json:"workers"`

@@ -7,14 +7,14 @@ import (
 	"repro/internal/netsim"
 )
 
-// Routing identity. A spec-hash router in front of several Service
-// workers must send every spelling of one run to the same worker, or
-// worker-local caches and singleflight coalescing stop composing
+// Routing identity. A cluster proxy in front of several backend
+// processes must send every spelling of one run to the same backend,
+// or backend-local caches and singleflight coalescing stop composing
 // across clients. RouteKey therefore canonicalizes exactly like the
 // cache key does — netsim.SpecString of the resolved scenario plus
 // the normalized parameters — so "overlay(background,scan)" and
 // "overlay( background , scan )" route identically, and a Generate
-// and an Analyze of the same spec land on the same worker and share
+// and an Analyze of the same spec land on the same backend and share
 // one cached run.
 //
 // RouteKey never fails: a spec that does not resolve routes by its
@@ -41,7 +41,7 @@ func (r AnalyzeRequest) RouteKey() string {
 		}.RouteKey()
 	}
 	// Sample up to 64 cells so two different matrices of one size
-	// usually hash apart without walking n² cells on the router.
+	// usually hash apart without walking n² cells on the proxy.
 	sum, n := 0, len(r.Matrix)
 	stride := n*n/64 + 1
 	for k := 0; k < n*n; k += stride {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bridge"
@@ -25,14 +24,12 @@ const DefaultCacheCapacity = 64
 // command invocation (the CLIs). All methods are safe for concurrent
 // use.
 type Service struct {
-	cacheCap   int
-	workers    int
-	shards     int
-	noPooling  bool
-	sessionIDs *sessionIDSource
-	cache      ResultCache
-	sessions   SessionStore
-	flights    *shardedFlights
+	cacheCap  int
+	shards    int
+	noPooling bool
+	cache     ResultCache
+	sessions  SessionStore
+	flights   *shardedFlights
 	// players is the account layer (see internal/player): mutable
 	// per-user state served beside — never through — the result
 	// cache.
@@ -55,10 +52,6 @@ type Option func(*Service)
 // disables caching.
 func WithCacheCapacity(n int) Option { return func(s *Service) { s.cacheCap = n } }
 
-// WithDefaultWorkers sets the worker count used when a request
-// leaves Workers at 0 (which otherwise selects all CPUs).
-func WithDefaultWorkers(n int) Option { return func(s *Service) { s.workers = n } }
-
 // WithoutPooling disables the buffer arena: every request allocates
 // fresh, exactly the pre-arena behaviour. The output is bit-identical
 // either way; the option exists for A/B benchmarking and as the
@@ -72,12 +65,6 @@ func WithoutPooling() Option { return func(s *Service) { s.noPooling = true } }
 // the parity suite compares against.
 func WithShards(n int) Option { return func(s *Service) { s.shards = n } }
 
-// WithSessionIDs makes the service draw session IDs from a shared
-// atomic counter instead of a private one, so several Service
-// workers behind one router hand out process-unique IDs and an
-// operator's CancelSession(id) names exactly one run.
-func WithSessionIDs(ids *atomic.Int64) Option { return func(s *Service) { s.sessionIDs = ids } }
-
 // New builds a Service with the given options.
 func New(opts ...Option) *Service {
 	s := &Service{cacheCap: DefaultCacheCapacity}
@@ -88,7 +75,7 @@ func New(opts ...Option) *Service {
 		s.shards = DefaultShards()
 	}
 	s.cache = newShardedCache(s.cacheCap, s.shards)
-	s.sessions = newSessionStore(s.shards, s.sessionIDs)
+	s.sessions = newSessionStore(s.shards)
 	s.flights = newShardedFlights(s.shards)
 	if !s.noPooling {
 		s.arena = netsim.NewArena()
@@ -119,14 +106,10 @@ func (svc *Service) SessionCount() int { return svc.sessions.Len() }
 // own caller; nothing partial is cached.
 func (svc *Service) CancelSession(id int64) bool { return svc.sessions.CancelByID(id) }
 
-// resolveWorkers applies the request → service → all-CPUs default
-// chain.
+// resolveWorkers applies the request → all-CPUs default chain.
 func (svc *Service) resolveWorkers(requested int) int {
 	if requested > 0 {
 		return requested
-	}
-	if svc.workers > 0 {
-		return svc.workers
 	}
 	return runtime.NumCPU()
 }

@@ -10,7 +10,68 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/netsim"
 )
+
+// TestServiceParitySingleVsSharded: a single-mutex service
+// (WithShards(1), the reference behaviour) and a default-striped
+// service answer byte-identically — cold and warm — for every catalog
+// scenario plus composed specs exercising the algebra. Striping moves
+// locks, never data.
+func TestServiceParitySingleVsSharded(t *testing.T) {
+	single, sharded := New(WithShards(1)), New()
+	specs := []string{
+		"overlay(background, sequence(scan, ddos))",
+		"amplify(sequence(beacon@5s, exfil), 3)",
+	}
+	for _, s := range netsim.Scenarios() {
+		specs = append(specs, s.Name())
+	}
+	ctx := context.Background()
+	for _, spec := range specs {
+		req := NewGenerateRequest(spec,
+			WithSeed(5), WithHosts(20), WithParams(6, 20, 1), WithWindow(3), WithMatrices())
+		for _, pass := range []string{"cold", "warm"} {
+			a, err := single.Generate(ctx, req)
+			if err != nil {
+				t.Fatalf("%s %s: single: %v", spec, pass, err)
+			}
+			b, err := sharded.Generate(ctx, req)
+			if err != nil {
+				t.Fatalf("%s %s: sharded: %v", spec, pass, err)
+			}
+			if a.CacheHit != b.CacheHit || a.CacheHit != (pass == "warm") {
+				t.Errorf("%s %s: cache hit single=%v sharded=%v", spec, pass, a.CacheHit, b.CacheHit)
+			}
+			if normalizeResult(t, a) != normalizeResult(t, b) {
+				t.Errorf("%s %s: sharded result differs from single-mutex result", spec, pass)
+			}
+		}
+	}
+}
+
+// TestServiceStreamParitySingleVsSharded: a single-mutex service and a
+// default-striped service stream identical frames (timings elided).
+func TestServiceStreamParitySingleVsSharded(t *testing.T) {
+	single, sharded := New(WithShards(1)), New()
+	ctx := context.Background()
+	req := NewGenerateRequest("overlay(background, sequence(scan, ddos))",
+		WithSeed(9), WithHosts(20), WithParams(8, 20, 1), WithWindow(2))
+	collect := func(svc *Service) string {
+		var frames []StreamFrame
+		if err := svc.GenerateStream(ctx, req, func(f StreamFrame) error {
+			frames = append(frames, f)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return normalizeFrames(t, frames)
+	}
+	if collect(single) != collect(sharded) {
+		t.Error("sharded stream differs from single-mutex stream")
+	}
+}
 
 // TestShardedCacheAggregateStats: counters and occupancy aggregate
 // exactly across stripes, and the per-shard breakdown sums to the
@@ -137,7 +198,7 @@ func TestShardHashDispersesRealKeys(t *testing.T) {
 // sessions live on different stripes, but the snapshot comes back
 // ordered by ID, so /v1/sessions output is stable.
 func TestSessionSnapshotSortedAcrossShards(t *testing.T) {
-	store := newSessionStore(8, nil)
+	store := newSessionStore(8)
 	var ends []func()
 	for i := 0; i < 50; i++ {
 		_, end := store.Begin(context.Background(), "test", fmt.Sprintf("key-%d", i))
@@ -169,7 +230,7 @@ func TestSessionSnapshotSortedAcrossShards(t *testing.T) {
 // right stripe and surfaces ErrSessionCancelled as the context
 // cause, whichever shard the session lives on.
 func TestSessionCancelByIDAcrossShards(t *testing.T) {
-	store := newSessionStore(8, nil)
+	store := newSessionStore(8)
 	type live struct {
 		ctx context.Context
 		end func()
@@ -199,7 +260,7 @@ func TestSessionCancelByIDAcrossShards(t *testing.T) {
 // CancelByID at random live-or-dead IDs and a reader snapshots. The
 // store must stay consistent and drain to empty.
 func TestSessionChurnAndCancelRace(t *testing.T) {
-	store := newSessionStore(8, nil)
+	store := newSessionStore(8)
 	var churn, aux sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -254,33 +315,6 @@ func TestSessionChurnAndCancelRace(t *testing.T) {
 	aux.Wait()
 	if n := store.Len(); n != 0 {
 		t.Errorf("store holds %d sessions after churn, want 0", n)
-	}
-}
-
-// TestServiceSharesSessionIDSource: two services on one ID source
-// never mint the same session ID — the invariant a router pool needs
-// for process-unique cancellation.
-func TestServiceSharesSessionIDSource(t *testing.T) {
-	var ids sessionIDSource
-	a := newSessionStore(4, &ids)
-	b := newSessionStore(4, &ids)
-	var ends []func()
-	for i := 0; i < 20; i++ {
-		_, endA := a.Begin(context.Background(), "a", "k")
-		_, endB := b.Begin(context.Background(), "b", "k")
-		ends = append(ends, endA, endB)
-	}
-	seen := map[int64]string{}
-	for _, s := range a.Snapshot() {
-		seen[s.ID] = "a"
-	}
-	for _, s := range b.Snapshot() {
-		if who, dup := seen[s.ID]; dup {
-			t.Fatalf("ID %d minted by both %s and b", s.ID, who)
-		}
-	}
-	for _, end := range ends {
-		end()
 	}
 }
 

@@ -12,42 +12,24 @@ import (
 	"repro/internal/bridge"
 	"repro/internal/core"
 	"repro/internal/player"
-	"repro/internal/router"
 )
 
 // ErrNoBackends reports a request against a cluster whose every
-// backend has been removed. It wraps router.ErrEmptyRing, so the
-// serve layer's single errors.Is check turns both the in-process and
-// the cross-process flavor into HTTP 503.
-var ErrNoBackends = fmt.Errorf("cluster: no live backends (%w)", router.ErrEmptyRing)
+// backend has been removed: the ring's pick has no slot to place the
+// key on. Front-ends surface it as HTTP 503 (internal/serve) rather
+// than panicking the process; it clears the moment a backend is
+// added back.
+var ErrNoBackends = errors.New("cluster: no live backends")
 
 // ErrUnknownBackend reports a Remove of a URL that is not a member.
 var ErrUnknownBackend = errors.New("cluster: backend is not a member")
 
-// DefaultDrainTimeout bounds how long RemoveBackend waits for the
-// departing backend's in-flight requests (streams included) before
-// reporting the drain incomplete. The backend keeps serving whatever
-// is still attached either way — the bound is on the admin call, not
-// on the requests.
-const DefaultDrainTimeout = 30 * time.Second
-
-// Option configures a Cluster under construction.
-type Option func(*Cluster)
-
-// WithWorkerOptions forwards options to every RemoteWorker the
-// cluster builds (present and future members).
-func WithWorkerOptions(opts ...WorkerOption) Option {
-	return func(c *Cluster) { c.workerOpts = opts }
-}
-
-// WithDrainTimeout sets the RemoveBackend drain bound.
-func WithDrainTimeout(d time.Duration) Option {
-	return func(c *Cluster) {
-		if d > 0 {
-			c.drainTimeout = d
-		}
-	}
-}
+// drainTimeout bounds how long RemoveBackend waits for the departing
+// backend's in-flight requests (streams included) before reporting
+// the drain incomplete. The backend keeps serving whatever is still
+// attached either way — the bound is on the admin call, not on the
+// requests.
+const drainTimeout = 30 * time.Second
 
 // member is one live backend: its worker plus the in-flight counter
 // RemoveBackend drains against.
@@ -60,23 +42,19 @@ type member struct {
 // Cluster fronts N backend twserve processes with one api.Core
 // surface, routing every request's canonical RouteKey through a
 // consistent hash ring so respelled specs and Generate↔Analyze pairs
-// keep hitting the same backend's warm cache — the cross-process
-// twin of router.Pool. Membership is live: AddBackend and
-// RemoveBackend grow and shrink the ring under load, moving only the
-// ≤~K/N keyspace slice the ring's property tests bound, and removal
-// drains the departing backend's in-flight requests before its
-// connections are torn down.
+// keep hitting the same backend's warm cache. Membership is live:
+// AddBackend and RemoveBackend grow and shrink the ring under load,
+// moving only the ≤~K/N keyspace slice the ring's property tests
+// bound, and removal drains the departing backend's in-flight
+// requests before its connections are torn down.
 //
 // Slots are stable per URL for the cluster's lifetime: a backend
 // removed and re-added gets its old ring position back, so its
 // surviving warm cache lines become hits again — the remove/re-add
 // assignment-restoration property the ring pins.
 type Cluster struct {
-	workerOpts   []WorkerOption
-	drainTimeout time.Duration
-
 	mu      sync.RWMutex
-	ring    *router.Ring
+	ring    *hashRing
 	members map[int]*member // slot → live member
 	slots   map[string]int  // URL → stable slot, kept across removals
 	next    int             // next fresh slot
@@ -87,15 +65,11 @@ var _ api.Core = (*Cluster)(nil)
 // New builds a cluster over the given backend base URLs. An empty
 // list is legal — the cluster answers ErrNoBackends until an
 // AddBackend lands.
-func New(backends []string, opts ...Option) (*Cluster, error) {
+func New(backends []string) (*Cluster, error) {
 	c := &Cluster{
-		drainTimeout: DefaultDrainTimeout,
-		ring:         router.NewRing(0),
-		members:      map[int]*member{},
-		slots:        map[string]int{},
-	}
-	for _, opt := range opts {
-		opt(c)
+		ring:    newHashRing(0),
+		members: map[int]*member{},
+		slots:   map[string]int{},
 	}
 	for _, b := range backends {
 		if err := c.AddBackend(b); err != nil {
@@ -109,7 +83,7 @@ func New(backends []string, opts ...Option) (*Cluster, error) {
 // already a member is a no-op; re-adding a previously removed URL
 // restores its old ring slot (and therefore its old keyspace slice).
 func (c *Cluster) AddBackend(backend string) error {
-	w, err := NewRemoteWorker(backend, c.workerOpts...)
+	w, err := NewRemoteWorker(backend)
 	if err != nil {
 		return err
 	}
@@ -126,7 +100,7 @@ func (c *Cluster) AddBackend(backend string) error {
 		c.slots[w.Base()] = slot
 	}
 	c.members[slot] = &member{url: w.Base(), worker: w}
-	c.ring.Add(slot)
+	c.ring.add(slot)
 	return nil
 }
 
@@ -148,7 +122,7 @@ func (c *Cluster) RemoveBackend(backend string) (drained bool, err error) {
 		c.mu.Unlock()
 		return false, fmt.Errorf("%w: %s", ErrUnknownBackend, norm)
 	}
-	c.ring.Remove(slot)
+	c.ring.remove(slot)
 	delete(c.members, slot)
 	c.mu.Unlock()
 
@@ -160,7 +134,7 @@ func (c *Cluster) RemoveBackend(backend string) (drained bool, err error) {
 	select {
 	case <-done:
 		drained = true
-	case <-time.After(c.drainTimeout):
+	case <-time.After(drainTimeout):
 	}
 	m.worker.Close()
 	return drained, nil
@@ -195,9 +169,9 @@ func (c *Cluster) Size() int {
 func (c *Cluster) pick(key string) (*member, func(), error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	slot, err := c.ring.Pick(key)
+	slot, err := c.ring.pick(key)
 	if err != nil {
-		return nil, nil, ErrNoBackends
+		return nil, nil, err
 	}
 	m := c.members[slot]
 	m.wg.Add(1)
@@ -272,11 +246,10 @@ func (c *Cluster) Campaign(ctx context.Context, req api.CampaignRequest) (*bridg
 	return m.worker.Campaign(ctx, req)
 }
 
-// Player methods route by player identity: unlike the in-process
-// pool (whose workers share one engine), each backend process owns
-// its own player store, so the ring genuinely partitions players
-// across the cluster and per-player rate limits are enforced by the
-// one backend that owns the player.
+// Player methods route by player identity: each backend process
+// owns its own player store, so the ring partitions players across
+// the cluster and per-player rate limits are enforced by the one
+// backend that owns the player.
 
 // PlayerCreate routes by player identity.
 func (c *Cluster) PlayerCreate(ctx context.Context, req api.PlayerCreateRequest) (*api.PlayerResult, error) {

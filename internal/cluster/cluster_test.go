@@ -15,7 +15,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/netsim"
-	"repro/internal/router"
 	"repro/internal/serve"
 )
 
@@ -37,7 +36,7 @@ func newBackend(t *testing.T) (*api.Service, *httptest.Server) {
 	return svc, srv
 }
 
-func newFixture(t *testing.T, n int, opts ...cluster.Option) *fixture {
+func newFixture(t *testing.T, n int) *fixture {
 	t.Helper()
 	f := &fixture{}
 	var urls []string
@@ -47,7 +46,7 @@ func newFixture(t *testing.T, n int, opts ...cluster.Option) *fixture {
 		f.backends = append(f.backends, srv)
 		urls = append(urls, srv.URL)
 	}
-	cl, err := cluster.New(urls, opts...)
+	cl, err := cluster.New(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +79,8 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
-// slowClusterScenario mirrors the router package's slow scenario so
-// drain and cancellation tests have a long run to observe.
+// slowClusterScenario gives the drain and cancellation tests a long
+// run to observe.
 type slowClusterScenario struct{}
 
 func (slowClusterScenario) Name() string                              { return "cluster-slow-test" }
@@ -118,9 +117,9 @@ func TestEmptyClusterAnswers503(t *testing.T) {
 	proxy := httptest.NewServer(serve.NewProxyMux(cl, cl))
 	t.Cleanup(proxy.Close)
 
-	// In-process: the error wraps router.ErrEmptyRing.
-	if _, err := cl.Generate(t.Context(), api.GenerateRequest{Spec: "scan"}); !errors.Is(err, router.ErrEmptyRing) {
-		t.Fatalf("Generate on empty cluster: err = %v, want ErrEmptyRing", err)
+	// In-process: the ring's pick answers ErrNoBackends.
+	if _, err := cl.Generate(t.Context(), api.GenerateRequest{Spec: "scan"}); !errors.Is(err, cluster.ErrNoBackends) {
+		t.Fatalf("Generate on empty cluster: err = %v, want ErrNoBackends", err)
 	}
 
 	// Over the wire: 503 with the error envelope.
@@ -306,8 +305,8 @@ func TestRemoveBackendDrainsInflight(t *testing.T) {
 	}
 
 	// The ring is now empty: the next request degrades, not panics.
-	if _, err := f.cl.Generate(t.Context(), api.GenerateRequest{Spec: "scan"}); !errors.Is(err, router.ErrEmptyRing) {
-		t.Errorf("post-drain generate err = %v, want ErrEmptyRing", err)
+	if _, err := f.cl.Generate(t.Context(), api.GenerateRequest{Spec: "scan"}); !errors.Is(err, cluster.ErrNoBackends) {
+		t.Errorf("post-drain generate err = %v, want ErrNoBackends", err)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package cluster scales the service across processes: a
 // RemoteWorker speaks the full api.Core surface to one backend
-// twserve process over HTTP, and a Cluster fronts N of them with the
-// same consistent spec-hash ring that router.Pool uses in-process —
-// so a request's canonical RouteKey lands on the same backend every
-// time, and that backend's warm result cache, singleflight group,
-// and arenas keep composing across every client of the proxy.
+// twserve process over HTTP, and a Cluster fronts N of them with a
+// consistent spec-hash ring (ring.go) — so a request's canonical
+// RouteKey lands on the same backend every time, and that backend's
+// warm result cache, singleflight group, and arenas keep composing
+// across every client of the proxy.
 //
 // The wire contract is exactly the one cmd/twserve already serves
 // (internal/serve's route table), which is what makes the proxy
@@ -54,14 +54,6 @@ const maxResponseBytes = 64 << 20
 // WorkerOption configures a RemoteWorker under construction.
 type WorkerOption func(*RemoteWorker)
 
-// WithHTTPClient substitutes the HTTP client (tests use a stub; the
-// default client carries a pooled keep-alive transport). The caller
-// keeps ownership: Close will not tear down a substituted client's
-// idle connections.
-func WithHTTPClient(c *http.Client) WorkerOption {
-	return func(w *RemoteWorker) { w.client, w.transport = c, nil }
-}
-
 // WithInflightLimit caps concurrent requests to the backend
 // (n ≤ 0 removes the cap).
 func WithInflightLimit(n int) WorkerOption {
@@ -86,12 +78,11 @@ func WithRetry(retries int, backoff time.Duration) WorkerOption {
 // observability methods probe with a bounded internal timeout. All
 // methods are safe for concurrent use.
 type RemoteWorker struct {
-	base      string
-	client    *http.Client
-	transport *http.Transport // owned iff built here; nil for substituted clients
-	sem       chan struct{}
-	retries   int
-	backoff   time.Duration
+	base    string
+	client  *http.Client
+	sem     chan struct{}
+	retries int
+	backoff time.Duration
 }
 
 var _ api.Core = (*RemoteWorker)(nil)
@@ -125,18 +116,16 @@ func NewRemoteWorker(base string, opts ...WorkerOption) (*RemoteWorker, error) {
 	// across requests (the proxy's steady state is zero new TCP
 	// connections), and removing the backend can tear down exactly its
 	// idle pool without touching other members'.
-	tr := &http.Transport{
-		MaxIdleConns:        DefaultInflightLimit,
-		MaxIdleConnsPerHost: DefaultInflightLimit,
-		IdleConnTimeout:     90 * time.Second,
-	}
 	w := &RemoteWorker{
-		base:      norm,
-		client:    &http.Client{Transport: tr},
-		transport: tr,
-		sem:       make(chan struct{}, DefaultInflightLimit),
-		retries:   DefaultRetries,
-		backoff:   DefaultBackoff,
+		base: norm,
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        DefaultInflightLimit,
+			MaxIdleConnsPerHost: DefaultInflightLimit,
+			IdleConnTimeout:     90 * time.Second,
+		}},
+		sem:     make(chan struct{}, DefaultInflightLimit),
+		retries: DefaultRetries,
+		backoff: DefaultBackoff,
 	}
 	for _, opt := range opts {
 		opt(w)
@@ -149,11 +138,7 @@ func (w *RemoteWorker) Base() string { return w.base }
 
 // Close releases the worker's idle connections. In-flight requests
 // are unaffected (the Cluster drains them before calling Close).
-func (w *RemoteWorker) Close() {
-	if w.transport != nil {
-		w.transport.CloseIdleConnections()
-	}
-}
+func (w *RemoteWorker) Close() { w.client.CloseIdleConnections() }
 
 // acquire takes an inflight slot, waiting until one frees or the
 // caller's context ends.

@@ -18,9 +18,9 @@
 //	GET    /v1/player/{id}/progress        course-progress summary
 //	POST   /v1/player/{id}/progress        complete a unit ({"unit": ...})
 //	GET    /v1/player/mastery              cohort item statistics
-//	GET    /v1/sessions         in-flight work (merged across workers)
+//	GET    /v1/sessions         in-flight work (merged across backends)
 //	DELETE /v1/sessions/{id}    cancel one in-flight run
-//	GET    /v1/cache            result-cache counters (fleet aggregate)
+//	GET    /v1/cache            result-cache counters (cluster aggregate)
 //	GET    /v1/stats            per-worker, per-shard counters
 //
 // Player errors map onto statuses through the package's sentinels: an
@@ -38,8 +38,8 @@
 //	POST   /v1/cluster/remove   {"backend": url} — shrink + drain
 //
 // Every handler is written against api.Core, so the same table
-// fronts a single *api.Service, a router.Pool of in-process workers,
-// or a cluster.Cluster of remote twserve processes.
+// fronts a single *api.Service or a cluster.Cluster of remote
+// twserve processes.
 package serve
 
 import (
@@ -54,8 +54,8 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/cluster"
 	"repro/internal/player"
-	"repro/internal/router"
 )
 
 // MaxBodyBytes bounds request bodies; an analyze matrix at the
@@ -443,7 +443,7 @@ func serviceError(w http.ResponseWriter, r *http.Request, err error) {
 		// locked unit), or the run was killed server-side
 		// (CancelSession) while this client was still connected.
 		httpError(w, http.StatusConflict, err)
-	case errors.Is(err, router.ErrEmptyRing):
+	case errors.Is(err, cluster.ErrNoBackends):
 		// Every backend was removed from the ring: the proxy is up but
 		// cannot place the key anywhere. Retryable once an operator
 		// adds a backend, so 503 rather than 500.
