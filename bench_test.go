@@ -318,10 +318,8 @@ func BenchmarkSparseAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkSemiringMatMul compares the dense semiring product with
-// the parallel SpGEMM kernel on a 256-vertex random graph at 2%
-// density, over the two semirings whose dense and sparse semantics
-// coincide.
+// BenchmarkSemiringMatMul measures the dense semiring product on a
+// 256-vertex random graph at 2% density.
 func BenchmarkSemiringMatMul(b *testing.B) {
 	const n, nnz = 256, 1310 // ≈2% density
 	rng := rand.New(rand.NewSource(21))
@@ -329,8 +327,7 @@ func BenchmarkSemiringMatMul(b *testing.B) {
 	for k := 0; k < nnz; k++ {
 		coo.Add(rng.Intn(n), rng.Intn(n), 1+rng.Intn(5))
 	}
-	csr := coo.ToCSR()
-	dense := csr.ToDense()
+	dense := coo.ToDense()
 	for _, s := range []matrix.Semiring{matrix.PlusTimes, matrix.OrAnd} {
 		b.Run("Dense/"+s.Name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -340,16 +337,6 @@ func BenchmarkSemiringMatMul(b *testing.B) {
 				}
 			}
 		})
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("CSR/%s/workers=%d", s.Name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := matrix.MatMulCSR(csr, csr, s, workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -493,8 +480,11 @@ func BenchmarkTraceThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkCOOMerge measures the aggregation hot path: merging
-// sharded COO accumulators against compacting one combined slice.
+// BenchmarkCOOMerge measures the aggregation hot path: summing
+// sharded COO accumulators into CSR (merge-sharded) against building
+// one combined COO's CSR (compact-serial). The sub-benchmark names
+// predate the counting-sort builder and stay so the committed
+// allocation snapshot keeps gating them.
 func BenchmarkCOOMerge(b *testing.B) {
 	const shards, perShard = 8, 40000
 	build := func() []*matrix.COO {
@@ -514,7 +504,7 @@ func BenchmarkCOOMerge(b *testing.B) {
 			b.StopTimer()
 			parts := build()
 			b.StartTimer()
-			if _, err := matrix.MergeCOOArena(context.Background(), nil, parts...); err != nil {
+			if _, err := matrix.SumCSR(nil, parts...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -530,21 +520,7 @@ func BenchmarkCOOMerge(b *testing.B) {
 				}
 			}
 			b.StartTimer()
-			all.Compact()
-		}
-	})
-	b.Run("compact-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			all := matrix.NewCOO(256, 256)
-			for _, p := range build() {
-				for _, e := range p.Entries() {
-					all.Add(e.Row, e.Col, e.Val)
-				}
-			}
-			b.StartTimer()
-			all.CompactParallel(4)
+			all.ToCSR()
 		}
 	})
 }

@@ -165,10 +165,11 @@ func NewArenaSized(maxElems int) *Arena {
 }
 
 // GetEntries takes a zero-length triple slab with capacity ≥ c
-// (best effort; see SlabPool.Get). nil-safe.
+// (best effort; see SlabPool.Get). A nil arena allocates exactly c:
+// headroom only pays off when the slab is refiled for reuse.
 func (a *Arena) GetEntries(c int) []Entry {
 	if a == nil {
-		return make([]Entry, 0, freshCap(c))
+		return make([]Entry, 0, max(c, 0))
 	}
 	return a.entries.Get(c)
 }

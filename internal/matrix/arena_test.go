@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -106,8 +105,7 @@ func TestCOOReleaseIsIdempotentAndGuards(t *testing.T) {
 	c.Add(0, 0, 1)
 }
 
-func TestMergeCOOArenaParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+func TestSumCSRArenaParity(t *testing.T) {
 	build := func(a *Arena) []*COO {
 		r := rand.New(rand.NewSource(31))
 		parts := make([]*COO, 5)
@@ -119,44 +117,56 @@ func TestMergeCOOArenaParity(t *testing.T) {
 		}
 		return parts
 	}
-	_ = rng
-	plain, err := MergeCOOArena(context.Background(), nil, build(nil)...)
+	plain, err := SumCSR(nil, build(nil)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := NewArena()
 	parts := build(a)
-	pooled, err := MergeCOOArena(context.Background(), a, parts...)
+	puts := a.Stats().Puts
+	pooled, err := SumCSR(a, parts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain.Entries(), pooled.Entries()) {
-		t.Fatal("arena-backed merge differs from the plain merge")
+	if !reflect.DeepEqual(plain, pooled) {
+		t.Fatal("arena-backed sum differs from the plain sum")
 	}
-	// The merged output copies every triple: releasing the parts and
-	// the merged matrix afterwards must leave a usable pool, and a
-	// second identical round must produce identical triples again
-	// from recycled slabs.
-	want := plain.Entries()
+	if a.Stats().Puts <= puts {
+		t.Fatal("SumCSR did not refile its scratch slab")
+	}
+	// The output never aliases pooled storage: releasing the parts,
+	// then scribbling over every slab the arena hands back, must leave
+	// the CSR intact, and a second round over the recycled slabs must
+	// build the same matrix again.
+	want := plain.ToCOO().Entries()
 	for _, p := range parts {
 		p.Release()
 	}
-	csr := pooled.ToCSR()
-	pooled.Release()
-	parts2 := build(a)
-	pooled2, err := MergeCOOArena(context.Background(), a, parts2...)
+	var slabs [][]Entry
+	for a.Stats().Slabs > 0 {
+		s := a.GetEntries(0)
+		s = s[:cap(s)]
+		for k := range s {
+			s[k] = Entry{Row: -1, Col: -1, Val: -1}
+		}
+		slabs = append(slabs, s)
+	}
+	if !reflect.DeepEqual(pooled.ToCOO().Entries(), want) {
+		t.Fatal("consumer-owned CSR was corrupted by slab reuse")
+	}
+	for _, s := range slabs {
+		a.PutEntries(s)
+	}
+	hits := a.Stats().Hits
+	pooled2, err := SumCSR(a, build(a)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, pooled2.Entries()) {
-		t.Fatal("second merge over recycled slabs differs")
-	}
-	if a.Stats().Hits == 0 {
+	if a.Stats().Hits == hits {
 		t.Fatal("second round did not reuse any slab")
 	}
-	// The first round's CSR must be untouched by the reuse.
-	if !reflect.DeepEqual(csr.ToCOO().Entries(), want) {
-		t.Fatal("consumer-owned CSR was corrupted by slab reuse")
+	if !reflect.DeepEqual(plain, pooled2) {
+		t.Fatal("second sum over recycled slabs differs")
 	}
 }
 

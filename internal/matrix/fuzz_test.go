@@ -1,16 +1,16 @@
 package matrix
 
 import (
-	"context"
 	"reflect"
 	"testing"
 )
 
 // Native fuzz targets for the sparse substrate. Each target decodes
 // the fuzz input as a triple stream on a small matrix and asserts
-// the algebraic invariants the concurrent engine leans on:
-// compaction idempotence, merge-order invariance, and lossless
-// representation round trips. Seed corpora live in
+// the invariants the concurrent engine leans on: the CSR build equals
+// a map-sum reference that shares none of its code, the sum over
+// shards is independent of the split and the part order, and
+// representation round trips are lossless. Seed corpora live in
 // testdata/fuzz/<Target>/ and are extended automatically by local
 // `go test -fuzz` runs.
 
@@ -55,30 +55,19 @@ func denseReference(rows, cols int, entries []Entry) *Dense {
 	return d
 }
 
-// entriesEqual compares triple slices element-wise, treating nil and
-// empty as equal (compaction may leave either).
-func entriesEqual(a, b []Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// assertCompactInvariants checks the compacted-entries contract:
-// row-major sorted, unique coordinates, no zero values.
-func assertCompactInvariants(t *testing.T, es []Entry) {
+// assertRowMajor checks a ToCOO triple list: row-major sorted,
+// unique coordinates, no zero values.
+func assertRowMajor(t *testing.T, es []Entry) {
 	t.Helper()
 	for k, e := range es {
 		if e.Val == 0 {
 			t.Fatalf("entry %d has zero value: %+v", k, e)
 		}
-		if k > 0 && !entryLess(es[k-1], e) {
-			t.Fatalf("entries %d,%d out of order or duplicated: %+v, %+v", k-1, k, es[k-1], e)
+		if k > 0 {
+			p := es[k-1]
+			if p.Row > e.Row || (p.Row == e.Row && p.Col >= e.Col) {
+				t.Fatalf("entries %d,%d out of order or duplicated: %+v, %+v", k-1, k, p, e)
+			}
 		}
 	}
 }
@@ -95,29 +84,18 @@ func FuzzCompact(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, cols, entries := decodeTriples(data)
-		want := denseReference(rows, cols, entries)
+		want := mapSum(entries)
 
 		c := buildCOO(rows, cols, entries)
-		c.Compact()
-		assertCompactInvariants(t, c.entries)
-		if !c.ToDense().Equal(want) {
-			t.Fatal("Compact changed the accumulated matrix")
+		m := c.ToCSR()
+		assertCSRIs(t, m, rows, cols, want)
+		// The build only reads the triples: they are unchanged, and a
+		// second build over them is identical.
+		if got := c.Entries(); len(got) != len(entries) || (len(got) > 0 && !reflect.DeepEqual(got, entries)) {
+			t.Fatalf("ToCSR changed the triples: %v, want %v", got, entries)
 		}
-		// Idempotence, with the fast-path flag cleared so the dedup
-		// pass genuinely re-runs over already-compact entries.
-		once := append([]Entry(nil), c.entries...)
-		c.compacted = false
-		c.Compact()
-		if !entriesEqual(c.entries, once) {
-			t.Fatalf("Compact not idempotent: %v then %v", once, c.entries)
-		}
-		// CompactParallel must agree with Compact for any worker
-		// count, including degenerate ones.
-		for _, workers := range []int{1, 2, 7} {
-			p := buildCOO(rows, cols, entries).CompactParallel(workers)
-			if !entriesEqual(p.entries, once) {
-				t.Fatalf("CompactParallel(%d) = %v, want %v", workers, p.entries, once)
-			}
+		if !reflect.DeepEqual(c.ToCSR(), m) {
+			t.Fatal("ToCSR not repeatable")
 		}
 	})
 }
@@ -126,43 +104,49 @@ func FuzzMergeCOO(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, cols, entries := decodeTriples(data)
-		want := denseReference(rows, cols, entries)
+		want := mapSum(entries)
+		whole := buildCOO(rows, cols, entries).ToCSR()
+		assertCSRIs(t, whole, rows, cols, want)
 
+		arena := NewArena()
 		for _, shards := range []int{1, 2, 3, 5} {
-			parts := make([]*COO, shards)
-			for s := range parts {
-				parts[s] = NewCOO(rows, cols)
-			}
-			for k, e := range entries {
-				parts[k%shards].Add(e.Row, e.Col, e.Val)
-			}
-			merged, err := MergeCOOArena(context.Background(), nil, parts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertCompactInvariants(t, merged.entries)
-			if !merged.ToDense().Equal(want) {
-				t.Fatalf("MergeCOO over %d shards changed the matrix", shards)
-			}
-			// Order invariance: merging the shards reversed (fresh
-			// accumulators — MergeCOO compacts its inputs in place)
-			// must produce identical entries.
-			rev := make([]*COO, shards)
-			for s := range rev {
-				rev[s] = NewCOO(rows, cols)
-			}
-			for k, e := range entries {
-				rev[k%shards].Add(e.Row, e.Col, e.Val)
-			}
-			for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-				rev[l], rev[r] = rev[r], rev[l]
-			}
-			back, err := MergeCOOArena(context.Background(), nil, rev...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !entriesEqual(back.entries, merged.entries) {
-				t.Fatalf("shard order changed MergeCOO output: %v vs %v", back.entries, merged.entries)
+			// Two splits of the same triples — round-robin and
+			// contiguous runs — each summed in forward and reverse
+			// part order, with a nil part mixed in, with and without
+			// an arena.
+			for _, split := range []func(k int) int{
+				func(k int) int { return k % shards },
+				func(k int) int { return k * shards / (len(entries) + 1) },
+			} {
+				for _, a := range []*Arena{nil, arena} {
+					parts := make([]*COO, shards+1)
+					for s := 0; s < shards; s++ {
+						parts[s] = NewCOOIn(a, rows, cols, 0)
+					}
+					for k, e := range entries {
+						parts[split(k)].Add(e.Row, e.Col, e.Val)
+					}
+					for _, order := range []string{"forward", "reverse"} {
+						if order == "reverse" {
+							for l, r := 0, len(parts)-1; l < r; l, r = l+1, r-1 {
+								parts[l], parts[r] = parts[r], parts[l]
+							}
+						}
+						got, err := SumCSR(a, parts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, whole) {
+							t.Fatalf("SumCSR over %d shards (%s, arena %v) = %+v, want %+v",
+								shards, order, a != nil, got, whole)
+						}
+					}
+					for _, p := range parts {
+						if p != nil {
+							p.Release()
+						}
+					}
+				}
 			}
 		}
 	})
@@ -183,7 +167,7 @@ func FuzzCSRRoundTrip(f *testing.F) {
 		}
 		// Lossless COO↔CSR↔Dense round trips.
 		back := csr.ToCOO()
-		assertCompactInvariants(t, back.entries)
+		assertRowMajor(t, back.entries)
 		if !reflect.DeepEqual(back.ToCSR(), csr) {
 			t.Fatal("CSR→COO→CSR not identical")
 		}
@@ -198,12 +182,9 @@ func FuzzCSRRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		// Double transpose is the identity, serial or parallel.
+		// Double transpose is the identity.
 		if !reflect.DeepEqual(csr.Transpose().Transpose(), csr) {
 			t.Fatal("Transpose∘Transpose not identity")
-		}
-		if !reflect.DeepEqual(csr.TransposeParallel(3).TransposeParallel(2), csr) {
-			t.Fatal("TransposeParallel∘TransposeParallel not identity")
 		}
 	})
 }

@@ -2,7 +2,9 @@ package matrix
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // The parallel permutation kernel. A host relabeling of a traffic
@@ -12,6 +14,58 @@ import (
 // the compose tests pin that the two agree cell for cell — the
 // algebraic fact that makes relabeled scenarios teachable (the shape
 // is invariant, only the axis labels move).
+
+// resolveWorkers maps the workers argument onto a concrete goroutine
+// count: ≤ 0 selects runtime.NumCPU(), and the count never exceeds
+// rows (one band per row at most).
+func resolveWorkers(workers, rows int) int {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	if workers > rows {
+		workers = rows
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	return workers
+}
+
+// rowBands splits [0,rows) into at most workers contiguous
+// near-equal bands.
+func rowBands(rows, workers int) [][2]int {
+	workers = resolveWorkers(workers, rows)
+	bands := make([][2]int, 0, workers)
+	size := (rows + workers - 1) / workers
+	for lo := 0; lo < rows; lo += size {
+		hi := lo + size
+		if hi > rows {
+			hi = rows
+		}
+		bands = append(bands, [2]int{lo, hi})
+	}
+	if len(bands) == 0 {
+		bands = append(bands, [2]int{0, 0})
+	}
+	return bands
+}
+
+// parallelBands runs fn over each row band on its own goroutine.
+func parallelBands(bands [][2]int, fn func(band int, lo, hi int)) {
+	if len(bands) == 1 {
+		fn(0, bands[0][0], bands[0][1])
+		return
+	}
+	var wg sync.WaitGroup
+	for b, span := range bands {
+		wg.Add(1)
+		go func(b, lo, hi int) {
+			defer wg.Done()
+			fn(b, lo, hi)
+		}(b, span[0], span[1])
+	}
+	wg.Wait()
+}
 
 // checkPermutation verifies perm is a bijection on [0,n).
 func checkPermutation(perm []int, n int) error {

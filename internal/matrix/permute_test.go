@@ -124,3 +124,21 @@ func TestPermuteCSRRejectsBadInput(t *testing.T) {
 		t.Error("PermuteDense accepted non-square matrix")
 	}
 }
+
+func TestRowBandsCoverAllRows(t *testing.T) {
+	for _, tc := range []struct{ rows, workers int }{
+		{0, 4}, {1, 4}, {7, 3}, {10, 10}, {10, 64}, {100, 7},
+	} {
+		bands := rowBands(tc.rows, tc.workers)
+		next := 0
+		for _, b := range bands {
+			if b[0] != next {
+				t.Fatalf("rows=%d workers=%d: band starts at %d, want %d", tc.rows, tc.workers, b[0], next)
+			}
+			next = b[1]
+		}
+		if next != tc.rows {
+			t.Errorf("rows=%d workers=%d: bands cover [0,%d), want [0,%d)", tc.rows, tc.workers, next, tc.rows)
+		}
+	}
+}

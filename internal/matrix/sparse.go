@@ -11,17 +11,14 @@ type Entry struct {
 }
 
 // COO is a coordinate-format sparse matrix builder. Duplicate
-// coordinates are permitted and sum together on compaction, which is
-// exactly the semantics of streaming packet events into a traffic
-// matrix: each event contributes its packet count to its (src,dst)
-// cell. The netsim substrate builds COO matrices from event streams.
+// coordinates are permitted and sum together when the matrix is built
+// into CSR, which is exactly the semantics of streaming packet events
+// into a traffic matrix: each event contributes its packet count to
+// its (src,dst) cell. The netsim substrate builds COO matrices from
+// event streams.
 type COO struct {
 	rows, cols int
 	entries    []Entry
-	// compacted records that entries are row-major sorted, duplicate
-	// free, and zero free, letting Compact (and therefore ToCSR on a
-	// freshly merged matrix) skip the O(E log E) re-sort.
-	compacted bool
 	// arena, when non-nil, owns the builder storage: Release files
 	// entries back onto its free-list instead of leaving them to the
 	// GC. released marks the storage gone — further use panics, so a
@@ -52,7 +49,8 @@ func NewCOOIn(a *Arena, rows, cols, capHint int) *COO {
 }
 
 // Release returns the builder storage to the arena and marks the
-// matrix dead: any later Add, Compact, Entries, or ToCSR panics.
+// matrix dead: any later Add, Entries, ToCSR, or SumCSR over it
+// panics.
 // Release is idempotent and a no-op for arena-less matrices' storage
 // (the slab simply stays with the GC), so cleanup paths can call it
 // unconditionally.
@@ -65,7 +63,6 @@ func (c *COO) Release() {
 		c.arena.PutEntries(c.entries)
 	}
 	c.entries = nil
-	c.compacted = false
 }
 
 // checkLive panics on use-after-Release — the loud failure that
@@ -82,8 +79,8 @@ func (c *COO) Rows() int { return c.rows }
 // Cols returns the number of columns.
 func (c *COO) Cols() int { return c.cols }
 
-// Len returns the number of stored triples (before duplicate
-// compaction).
+// Len returns the number of stored triples (duplicates counted
+// separately).
 func (c *COO) Len() int { return len(c.entries) }
 
 // Add appends the triple (i, j, v). Panics when the coordinate is out
@@ -94,21 +91,6 @@ func (c *COO) Add(i, j, v int) {
 	}
 	c.checkLive()
 	c.entries = append(c.entries, Entry{Row: i, Col: j, Val: v})
-	c.compacted = false
-}
-
-// Compact sorts the triples in row-major order and sums duplicates
-// in place, dropping resulting zeros. It returns the receiver for
-// chaining.
-func (c *COO) Compact() *COO {
-	c.checkLive()
-	if c.compacted || len(c.entries) == 0 {
-		return c
-	}
-	sortEntries(c.entries)
-	c.entries = dedupSorted(c.entries)
-	c.compacted = true
-	return c
 }
 
 // Entries returns a copy of the stored triples.
@@ -140,8 +122,6 @@ func FromDense(d *Dense) *COO {
 			}
 		}
 	}
-	// The row-major scan emits unique sorted non-zero coordinates.
-	c.compacted = true
 	return c
 }
 
@@ -154,36 +134,20 @@ type CSR struct {
 	vals       []int
 }
 
-// ToCSR compacts the COO matrix and converts it to CSR. The CSR's
-// arrays are always freshly allocated — never arena storage — because
-// CSR results outlive the request that built them (the LRU cache and
+// ToCSR sums the COO matrix's triples into CSR with the counting-sort
+// builder (build.go), leaving the triples themselves untouched; the
+// scatter scratch comes from the matrix's arena. The CSR's arrays are
+// always freshly allocated — never arena storage — because CSR
+// results outlive the request that built them (the LRU cache and
 // stream frames alias them); see the ownership rules in arena.go.
 func (c *COO) ToCSR() *CSR {
-	c.Compact()
-	m := &CSR{
-		rows:   c.rows,
-		cols:   c.cols,
-		rowPtr: make([]int, c.rows+1),
-		colIdx: make([]int, len(c.entries)),
-		vals:   make([]int, len(c.entries)),
-	}
-	for _, e := range c.entries {
-		m.rowPtr[e.Row+1]++
-	}
-	for i := 0; i < c.rows; i++ {
-		m.rowPtr[i+1] += m.rowPtr[i]
-	}
-	// Entries are already row-major sorted after Compact, so a single
-	// pass fills colIdx/vals in order.
-	for k, e := range c.entries {
-		m.colIdx[k] = e.Col
-		m.vals[k] = e.Val
-	}
-	return m
+	c.checkLive()
+	return buildCSR(c.arena, c.rows, c.cols, []*COO{c})
 }
 
-// ToCOO converts the CSR matrix back to a compacted COO: the exact
-// inverse of COO.ToCSR, so COO↔CSR round trips are lossless.
+// ToCOO converts the CSR matrix back to a COO holding one row-major
+// triple per stored cell: the exact inverse of COO.ToCSR, so COO↔CSR
+// round trips are lossless.
 func (m *CSR) ToCOO() *COO {
 	c := NewCOO(m.rows, m.cols)
 	c.entries = make([]Entry, 0, len(m.vals))
@@ -192,7 +156,6 @@ func (m *CSR) ToCOO() *COO {
 			c.entries = append(c.entries, Entry{Row: i, Col: m.colIdx[k], Val: m.vals[k]})
 		}
 	}
-	c.compacted = true
 	return c
 }
 

@@ -12,12 +12,16 @@ func TestCOOCompactSumsDuplicates(t *testing.T) {
 	c.Add(1, 1, 2)
 	c.Add(1, 1, 3)
 	c.Add(0, 2, 1)
-	c.Compact()
-	if c.Len() != 2 {
-		t.Fatalf("compacted to %d entries, want 2", c.Len())
+	m := c.ToCSR()
+	if m.NNZ() != 2 {
+		t.Fatalf("built %d cells, want 2", m.NNZ())
 	}
-	if got := c.ToDense().At(1, 1); got != 5 {
+	if got := m.At(1, 1); got != 5 {
 		t.Errorf("duplicate sum = %d, want 5", got)
+	}
+	// The build reads the triples; it does not compact them in place.
+	if c.Len() != 3 {
+		t.Errorf("ToCSR changed the COO to %d triples", c.Len())
 	}
 }
 
@@ -26,9 +30,8 @@ func TestCOOCompactDropsZeroSums(t *testing.T) {
 	c.Add(0, 0, 4)
 	c.Add(0, 0, -4)
 	c.Add(1, 1, 1)
-	c.Compact()
-	if c.Len() != 1 {
-		t.Errorf("zero-sum cell kept: %v", c.Entries())
+	if m := c.ToCSR(); m.NNZ() != 1 || m.At(1, 1) != 1 {
+		t.Errorf("zero-sum cell kept: %v", m.ToCOO().Entries())
 	}
 }
 
@@ -167,4 +170,28 @@ func TestCSRAtBoundsPanic(t *testing.T) {
 		}
 	}()
 	m.At(0, 5)
+}
+
+// randomCSR builds a deterministic random sparse matrix with about
+// density·rows·cols entries, values in [1, 9].
+func randomCSR(t testing.TB, rng *rand.Rand, rows, cols int, density float64) *CSR {
+	t.Helper()
+	c := NewCOO(rows, cols)
+	n := int(density * float64(rows) * float64(cols))
+	for k := 0; k < n; k++ {
+		c.Add(rng.Intn(rows), rng.Intn(cols), 1+rng.Intn(9))
+	}
+	return c.ToCSR()
+}
+
+func TestCSRToCOORoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := randomCSR(t, rng, 12, 12, 0.3)
+	back := a.ToCOO().ToCSR()
+	if !reflect.DeepEqual(back, a) {
+		t.Error("CSR→COO→CSR round trip not identical")
+	}
+	if !a.ToCOO().ToDense().Equal(a.ToDense()) {
+		t.Error("CSR→COO→Dense differs from CSR→Dense")
+	}
 }

@@ -9,11 +9,11 @@ import (
 // building one COO per window over a fully materialized trace. A
 // WindowCompactor holds one COO shard per aggregation window; event
 // triples stream in concurrently in any order, and each window is
-// compacted to CSR — and its builder storage released — the moment
-// the caller knows no more triples can reach it (Seal). Because
-// compaction sorts triples by coordinate and sums duplicates, the
-// sealed CSR is a pure function of the window's triple multiset:
-// identical for any arrival order, any worker count, any interleaving.
+// built into CSR — and its builder storage released — the moment the
+// caller knows no more triples can reach it (Seal). Because the CSR
+// build sums each cell's triples, the sealed CSR is a pure function
+// of the window's triple multiset: identical for any arrival order,
+// any worker count, any interleaving.
 // That multiset-determinism is what lets the netsim streaming engine
 // keep the batch engine's bit-identical-output contract while
 // finalizing windows mid-run.
@@ -114,7 +114,7 @@ func (wc *WindowCompactor) Seal(w int) (m *CSR, events, extra int) {
 	return csr, wc.events[w], wc.extra[w]
 }
 
-// PendingNNZ reports the total un-compacted triples currently
+// PendingNNZ reports the total unbuilt triples currently
 // buffered across unsealed windows: the compactor's live builder
 // footprint, exposed so the streaming benchmarks can show memory
 // staying bounded by the open-window set rather than the run length.

@@ -4,7 +4,7 @@ import "repro/internal/matrix"
 
 // The generation-side arena: one pooling scope for everything a
 // request's hot path builds and discards — per-worker and per-window
-// COO shards and the merge output on the engine (GenerateCSRArena,
+// COO shards and the CSR builds' scratch on the engine (GenerateCSRArena,
 // StreamCSRArena), plus chunk event buffers and the concatenated
 // trace slab when a trace is materialized (GenerateTraceArena). It
 // wraps the matrix layer's triple arena and adds an event-slab pool
@@ -50,7 +50,7 @@ type Arena struct {
 
 // ArenaStats snapshots both pools' counters.
 type ArenaStats struct {
-	// Entries is the COO triple pool (shards, merge outputs).
+	// Entries is the COO triple pool (shards, CSR build scratch).
 	Entries matrix.PoolStats
 	// Events is the event-slab pool (chunk buffers, trace slabs).
 	Events matrix.PoolStats

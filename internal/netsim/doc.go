@@ -74,8 +74,8 @@
 // StreamCSRArena fan the chunk indices across a worker pool, seeding
 // chunk k's RNG from (seed, k) by splitmix64. Workers accumulate into
 // private stores — per-chunk trace slots, or per-worker sparse COO
-// shards merged by matrix.MergeCOOArena, whose duplicate-summing
-// compaction is order-insensitive — so for a given (scenario,
+// shards summed into CSR by matrix.SumCSR, whose duplicate-summing
+// counting sort is order-insensitive — so for a given (scenario,
 // network, seed, params) the aggregate output is bit-identical on 1
 // worker or N. The legacy Background, Scan, AttackScenario, and
 // DDoSScenario functions are thin adapters running the same scripts

@@ -81,7 +81,7 @@ func (t Trace) Matrix(net *Network) (*matrix.Dense, int) {
 
 // SparseMatrixArena aggregates the whole trace onto a network's axis
 // as a CSR, never materializing the n² cells: one linear fold into a
-// COO followed by compaction. Events naming unknown hosts are counted
+// COO followed by its CSR build. Events naming unknown hosts are counted
 // in the returned dropped packet total, mirroring Matrix. The COO
 // accumulator is pre-sized to the trace length, pooled in the arena
 // (nil allocates fresh — identical output either way), and released

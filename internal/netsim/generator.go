@@ -18,7 +18,7 @@ import (
 // set of events produced is a pure function of the configuration —
 // never of the worker count or of scheduling order. Workers
 // accumulate into private stores (a per-chunk trace slot, or a
-// per-worker COO shard) that are merged order-insensitively at the
+// per-worker COO shard) that are summed order-insensitively at the
 // end, which is what makes the aggregate output deterministic.
 
 // Stats summarizes one generation run. All fields are sums over
@@ -180,17 +180,17 @@ func GenerateTraceArena(ctx context.Context, a *Arena, s Scenario, net *Network,
 // GenerateCSRArena generates the scenario and aggregates it straight
 // into a sparse traffic matrix, skipping trace materialization: each
 // worker streams its chunks' events into a private COO shard, and
-// the shards are merged and compacted by matrix.MergeCOOArena and
-// converted to CSR in one linear pass — no dense n² materialization
-// happens anywhere between event emission and the analysis layer.
-// Because duplicate COO coordinates sum on compaction, the matrix is
-// identical for any worker count. Events naming hosts outside the
-// network axis are counted in Stats.Dropped, mirroring
-// Trace.SparseMatrixArena. Cancelling ctx stops both the chunk
-// workers and the final shard merge.
+// matrix.SumCSR sums the shards into CSR with one counting sort by
+// row — no dense n² materialization happens anywhere between event
+// emission and the analysis layer. Because duplicate COO coordinates
+// sum in the build, the matrix is identical for any worker count.
+// Events naming hosts outside the network axis are counted in
+// Stats.Dropped, mirroring Trace.SparseMatrixArena. Cancelling ctx
+// stops the chunk workers, and a run cancelled by the time they
+// finish skips the final build.
 //
-// Every intermediate — worker shards and the merged COO — is pooled
-// in the arena (nil allocates fresh). The returned CSR's arrays are
+// Every intermediate — worker shards and the build's scatter
+// scratch — is pooled in the arena (nil allocates fresh). The returned CSR's arrays are
 // always freshly allocated and permanently the caller's: nothing
 // about it ever returns to the pool, so it is safe to cache or
 // stream. It is StreamCSRArena's engine with no windows.

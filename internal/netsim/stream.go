@@ -26,11 +26,12 @@ import (
 // Determinism survives because a window's CSR is a pure function of
 // the event multiset that lands in it: chunks derive all randomness
 // from (seed, chunk), window membership depends only on each event's
-// own timestamp, and COO compaction sorts by coordinate and sums —
-// commutative — so any worker count and any arrival order compact to
-// bit-identical windows. The engine-vs-trace parity suite
-// (stream_test.go) pins this against GenerateTraceArena's folds
-// across the catalog, composed specs, and workers 1/4/16.
+// own timestamp, and the CSR build (matrix.SumCSR, COO.ToCSR) sums
+// each cell's triples — commutative — so any worker count and any
+// arrival order build bit-identical windows. The engine-vs-trace
+// parity suite (stream_test.go) pins this against
+// GenerateTraceArena's folds across the catalog, composed specs, and
+// workers 1/4/16.
 
 // StreamCSRArena generates the scenario and streams its
 // fixed-length aggregation windows through onWindow, in order, each
@@ -46,9 +47,9 @@ import (
 // delivered stay delivered.
 //
 // The window compactor's per-window shards, the aggregate's worker
-// shards, and the merge output are pooled in the arena (nil
-// allocates fresh — bit-identical windows either way). Window
-// builders recycle at Seal, worker shards after the final merge; the
+// shards, and the CSR builds' scatter scratch are pooled in the arena
+// (nil allocates fresh — bit-identical windows either way). Window
+// builders recycle at Seal, worker shards after the final SumCSR; the
 // sealed window CSRs and the returned aggregate CSR are always
 // freshly allocated and the consumer's forever. On an error mid-run,
 // builders of never-sealed windows are left to the GC rather than
@@ -241,9 +242,12 @@ func generate(ctx context.Context, a *Arena, s Scenario, net *Network, seed int6
 		return nil, Stats{}, err
 	}
 
-	merged, err := matrix.MergeCOOArena(ctx, a.Matrix(), shards...)
-	// The merge copied every triple out (or failed): either way the
-	// shards are dead now.
+	if err := ctx.Err(); err != nil {
+		releaseShards(shards)
+		return nil, Stats{}, err
+	}
+	csr, err := matrix.SumCSR(a.Matrix(), shards...)
+	// The build only read the shards: they are dead now either way.
 	releaseShards(shards)
 	if err != nil {
 		return nil, Stats{}, err
@@ -254,7 +258,5 @@ func generate(ctx context.Context, a *Arena, s Scenario, net *Network, seed int6
 		stats.Packets += st.Packets
 		stats.Dropped += st.Dropped
 	}
-	csr := merged.ToCSR()
-	merged.Release()
 	return csr, stats, nil
 }

@@ -14,10 +14,10 @@ import (
 // The trace-side window fold. The historical dense Windows re-scanned
 // the whole trace once per window (O(W·E)) and materialized an n²
 // Dense for every interval; WindowsCSRArena folds the trace into
-// per-window COO shards in a single pass (O(E)) and compacts each
-// shard to CSR in parallel, so the spatial-temporal view costs
-// O(E + nnz·log nnz) no matter how many windows the horizon splits
-// into. Windows (events.go) densifies this result, the bridge's
+// per-window COO shards in a single pass (O(E)) and builds each
+// shard's CSR in parallel with the counting-sort builder, so the
+// spatial-temporal view costs about O(E + W·n) no matter how many
+// windows W the horizon splits into. Windows (events.go) densifies this result, the bridge's
 // campaign timeline consumes it directly, and the parity suites use
 // it as the reference for the engine's streamed windows.
 
@@ -76,7 +76,7 @@ func windowIndex(t, windowLen, horizon float64, nw int) (int, bool) {
 // WindowsCSRArena splits the trace into ⌈horizon/windowLen⌉
 // fixed-length aggregation windows starting at 0, without ever
 // materializing a dense matrix: one linear pass assigns each event to
-// its window's COO shard, then the shards compact to CSR
+// its window's COO shard, then the shards build into CSR
 // concurrently. A horizon of 0 uses the trace duration rounded up to
 // a whole window. Every window spans its full windowLen (a horizon
 // mid-window keeps the final window's complete range), and an event
@@ -86,12 +86,12 @@ func windowIndex(t, windowLen, horizon float64, nw int) (int, bool) {
 // timestamp.
 //
 // The linear fold checks ctx every few thousand events and the
-// parallel compaction loop checks it between windows, so a cancelled
+// parallel build loop checks it between windows, so a cancelled
 // caller stops splitting a large trace instead of finishing the
 // whole spatial-temporal view. Each window's COO shard is pooled in
 // the arena (nil allocates fresh — identical windows either way):
 // shards are pre-sized to the trace's per-window average and release
-// into the arena as soon as they compact; the returned windows' CSR
+// into the arena as soon as they are built; the returned windows' CSR
 // arrays are always freshly allocated, never pooled.
 func (t Trace) WindowsCSRArena(ctx context.Context, a *Arena, net *Network, windowLen, horizon float64) ([]SparseWindow, error) {
 	if net == nil {
@@ -137,8 +137,8 @@ func (t Trace) WindowsCSRArena(ctx context.Context, a *Arena, net *Network, wind
 		acc.coo.Add(i, j, e.Packets)
 	}
 
-	// Compact each window's shard to CSR; windows are independent, so
-	// the O(nnz log nnz) sorts spread across all CPUs.
+	// Build each window's shard into CSR; windows are independent, so
+	// the builds spread across all CPUs.
 	out := make([]SparseWindow, nw)
 	workers := runtime.NumCPU()
 	if workers > nw {
