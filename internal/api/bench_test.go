@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/patterns"
 )
 
 // benchRequest is heavy enough that generation dominates: the
@@ -123,6 +125,31 @@ func BenchmarkGenerateCacheHit(b *testing.B) {
 		}
 		if !res.CacheHit {
 			b.Fatal("hot request missed the cache")
+		}
+	}
+}
+
+// BenchmarkAnalyzeMatrix measures the aggregate analysis of the
+// benchmark's cold shape at 200 hosts: one summary walk and every
+// classifier reading.
+func BenchmarkAnalyzeMatrix(b *testing.B) {
+	res := coldRun(b, 200)
+	b.ReportAllocs()
+	for b.Loop() {
+		analyzeMatrix(res.AggregateCSR, res.Zones)
+	}
+}
+
+// BenchmarkWindowReadings measures the per-window readings of the
+// same run: one summary and one DDoS role walk per window.
+func BenchmarkWindowReadings(b *testing.B) {
+	res := coldRun(b, 200)
+	roles, rolesErr := patterns.AssignDDoSRoles(res.Zones)
+	windows := sparseWindows(res)
+	b.ReportAllocs()
+	for b.Loop() {
+		for k, w := range windows {
+			windowResult(k, w, res.Zones, roles, rolesErr, res.Labels)
 		}
 	}
 }

@@ -47,6 +47,11 @@ const (
 	// each factor still compose into ~10^18 events; the budget keeps
 	// the product itself at a size one server can hold in memory.
 	MaxEventBudget = 1e8
+	// MaxCellPackets bounds one cell of a posted matrix. The analysis
+	// sums cells and compares them at balanceRatio (3) times their
+	// reverse in int; at MaxHosts² cells of this size every such sum
+	// and product stays below 2⁶³, so no reading can overflow.
+	MaxCellPackets = 1<<31 - 1
 )
 
 // GenerateRequest asks for a full scenario run: generation, optional
@@ -206,7 +211,7 @@ type AnalyzeRequest struct {
 	// aggregate. Mutually exclusive with Matrix.
 	Spec string `json:"spec,omitempty"`
 	// Matrix, when set, is analyzed as posted: square rows of
-	// non-negative packet counts.
+	// non-negative packet counts, each at most MaxCellPackets.
 	Matrix [][]int `json:"matrix,omitempty"`
 	// BlueEnd and GreyEnd optionally place the blue→grey→red zone
 	// boundaries for a posted matrix (host order is assumed zoned).

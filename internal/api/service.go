@@ -291,40 +291,45 @@ func windowResult(k int, w netsim.SparseWindow, zones patterns.Zones, roles patt
 		Dropped: w.Dropped, Matrix: w.Matrix,
 	}
 	if wr.NNZ > 0 {
-		stage, conf := patterns.ClassifyAttackStageOf(w.Matrix, zones)
-		wr.AttackStage = &Reading{Label: stage.String(), Confidence: conf}
+		a := patterns.Analyze(w.Matrix, zones)
+		wr.AttackStage = &Reading{Label: a.Stage.String(), Confidence: a.StageScore}
 		if rolesErr == nil {
 			comp, dconf := patterns.ClassifyDDoSOf(w.Matrix, roles)
 			wr.DDoS = &Reading{Label: comp.String(), Confidence: dconf}
 		}
-		if hubs := matrix.SupernodesOf(w.Matrix, patterns.SupernodeFanThreshold); len(hubs) > 0 {
-			h := hubs[0]
+		if len(a.Supernodes) > 0 {
+			h := a.Supernodes[0]
 			wr.Hub = &Hub{Host: labels[h.Index], Direction: h.Direction, Fan: h.Fan, Packets: h.Packets}
 		}
 	}
 	return wr
 }
 
-// analyzeMatrix runs every classifier over a matrix through the
-// read-only accessor interface.
+// analyzeMatrix reads the aggregate block off one summary of m.
 func analyzeMatrix(m matrix.Matrix, zones patterns.Zones) Aggregate {
-	agg := Aggregate{Profile: profileResult(matrix.ProfileOf(m))}
-	if b, conf := patterns.ClassifyBehaviorOf(m, zones); b != patterns.BehaviorUnknown {
-		agg.Behavior = &Reading{Label: b.String(), Confidence: conf}
+	return aggregateOf(patterns.Analyze(m, zones))
+}
+
+// aggregateOf converts an analysis to the wire aggregate block.
+func aggregateOf(a patterns.Analysis) Aggregate {
+	agg := Aggregate{
+		Profile:  profileResult(a.Profile),
+		Topology: a.Topology.String(),
+		Attack:   Reading{Label: a.Stage.String(), Confidence: a.StageScore},
 	}
-	agg.Topology = patterns.ClassifyTopologyOf(m, zones).String()
-	stage, sconf := patterns.ClassifyAttackStageOf(m, zones)
-	agg.Attack = Reading{Label: stage.String(), Confidence: sconf}
-	for _, c := range patterns.ClassifyMixtureOf(m, zones) {
+	if a.Behavior != patterns.BehaviorUnknown {
+		agg.Behavior = &Reading{Label: a.Behavior.String(), Confidence: a.BehaviorScore}
+	}
+	for _, c := range a.Mixture {
 		agg.Mixture = append(agg.Mixture, Reading{Label: c.Label, Confidence: c.Score})
 	}
 	return agg
 }
 
-// supernodeHubs converts the supernode list to wire form.
-func supernodeHubs(m matrix.Matrix, labels []string) []Hub {
+// supernodeHubs converts a supernode list to wire form.
+func supernodeHubs(hubs []matrix.HotSpot, labels []string) []Hub {
 	var out []Hub
-	for _, h := range matrix.SupernodesOf(m, patterns.SupernodeFanThreshold) {
+	for _, h := range hubs {
 		out = append(out, Hub{Host: labels[h.Index], Direction: h.Direction, Fan: h.Fan, Packets: h.Packets})
 	}
 	return out
@@ -350,7 +355,7 @@ func (svc *Service) Analyze(ctx context.Context, req AnalyzeRequest) (*AnalyzeRe
 		return &AnalyzeResult{
 			Version: Version, Source: "spec", Spec: gres.Spec, Hosts: gres.Hosts,
 			Aggregate:  gres.Aggregate,
-			Supernodes: supernodeHubs(gres.AggregateCSR, gres.Labels),
+			Supernodes: supernodeHubs(matrix.SupernodesOf(gres.AggregateCSR, patterns.SupernodeFanThreshold), gres.Labels),
 			CacheHit:   gres.CacheHit,
 		}, nil
 	}
@@ -365,6 +370,9 @@ func (svc *Service) Analyze(ctx context.Context, req AnalyzeRequest) (*AnalyzeRe
 			if v < 0 {
 				return nil, fmt.Errorf("%w: matrix cell [%d][%d] = %d; packet counts must not be negative", ErrInvalidRequest, i, j, v)
 			}
+			if v > MaxCellPackets {
+				return nil, fmt.Errorf("%w: matrix cell [%d][%d] = %d exceeds the %d limit", ErrInvalidRequest, i, j, v, MaxCellPackets)
+			}
 		}
 	}
 	dense, err := matrix.FromRows(req.Matrix)
@@ -378,11 +386,11 @@ func (svc *Service) Analyze(ctx context.Context, req AnalyzeRequest) (*AnalyzeRe
 	if err != nil {
 		return nil, err
 	}
-	labels := matrixLabels(dense.Rows())
+	a := patterns.Analyze(dense, zones)
 	res := &AnalyzeResult{
 		Version: Version, Source: "matrix", Hosts: dense.Rows(),
-		Aggregate:  analyzeMatrix(dense, zones),
-		Supernodes: supernodeHubs(dense, labels),
+		Aggregate:  aggregateOf(a),
+		Supernodes: supernodeHubs(a.Supernodes, matrixLabels(dense.Rows())),
 	}
 	// The classification is synchronous and quick, so cancellation
 	// is honored at call granularity: a cancelled session (or

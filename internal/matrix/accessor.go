@@ -1,21 +1,22 @@
 package matrix
 
 // Matrix is the read-only accessor contract shared by the dense and
-// sparse representations. The analysis layer (Profile, Supernodes,
-// IsolatedPairs, DegreeHistogram, TopLinks) and the pattern
-// classifiers consume this interface instead of *Dense, so a traffic
-// matrix aggregated by the concurrent scenario engine can flow from
-// the sharded COO merge straight into classification as a CSR —
-// never materializing the n² cells a large sparse matrix would
-// waste.
+// sparse representations. The analysis layer (Summarize and its
+// ProfileOf and SupernodesOf reads) and the pattern classifiers
+// consume this interface instead of *Dense, so a traffic matrix
+// aggregated by the concurrent scenario engine can flow from the
+// sharded COO merge straight into classification as a CSR — never
+// materializing the n² cells a large sparse matrix would waste.
+// Summarize reads a non-CSR input once, row by row, into a CSR and
+// never calls At.
 //
 // The contract mirrors sparse semantics: Row visits only stored
 // non-zero entries, in increasing column order, and At returns 0 for
 // any cell Row would skip. Dense satisfies the contract by skipping
 // its zero cells during Row; CSR satisfies it natively. Implementors
 // must keep Row iteration row-major deterministic — the analysis
-// helpers rely on identical visit order across representations to
-// produce byte-identical results (first-seen tie-breaks).
+// relies on identical visit order across representations to produce
+// byte-identical results (first-seen tie-breaks).
 type Matrix interface {
 	// Rows returns the number of rows.
 	Rows() int

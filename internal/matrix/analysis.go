@@ -1,6 +1,6 @@
 package matrix
 
-import "sort"
+import "math"
 
 // Profile summarizes the structural features of a traffic matrix that
 // the paper's learning modules train students to read by eye: how
@@ -37,67 +37,11 @@ type Profile struct {
 	Reciprocal int
 }
 
-// NewProfile computes the structural profile of a square dense
-// matrix. It is ProfileOf restricted to the historical *Dense
-// signature.
-func NewProfile(m *Dense) Profile { return ProfileOf(m) }
-
-// ProfileOf computes the structural profile of a square matrix
-// through the read-only accessor, visiting only stored non-zeros:
-// O(nnz·log deg) on a CSR instead of the dense O(n²) scan.
-// Non-square matrices yield a zero profile with N = -1.
+// ProfileOf computes the structural profile of a square matrix in
+// one Summarize walk. Non-square matrices yield a zero profile with
+// N = -1.
 func ProfileOf(m Matrix) Profile {
-	if m.Rows() != m.Cols() {
-		return Profile{N: -1}
-	}
-	n := m.Rows()
-	p := Profile{
-		N:         n,
-		NNZ:       m.NNZ(),
-		Sum:       m.Sum(),
-		OutFan:    make([]int, n),
-		InFan:     make([]int, n),
-		Symmetric: true,
-	}
-	EachStored(m, func(i, j, v int) {
-		if v > p.MaxEntry {
-			p.MaxEntry = v
-		}
-		p.OutFan[i]++
-		p.InFan[j]++
-		if i == j {
-			p.DiagNNZ++
-			return
-		}
-		// One transposed lookup settles both symmetry and (for
-		// the upper triangle) reciprocity. Lower-triangle entries
-		// only matter for symmetry, so skip their lookup once
-		// asymmetry is established.
-		if i < j || p.Symmetric {
-			r := m.At(j, i)
-			if r != v {
-				p.Symmetric = false
-			}
-			if i < j && r != 0 {
-				p.Reciprocal++
-			}
-		}
-	})
-	p.OffDiagNNZ = p.NNZ - p.DiagNNZ
-	for i := 0; i < n; i++ {
-		if p.OutFan[i] > p.MaxOutFan {
-			p.MaxOutFan = p.OutFan[i]
-		}
-		if p.InFan[i] > p.MaxInFan {
-			p.MaxInFan = p.InFan[i]
-		}
-		if p.OutFan[i] > 0 {
-			p.ActiveSources++
-		}
-		if p.InFan[i] > 0 {
-			p.ActiveDests++
-		}
-	}
+	p, _ := Summarize(m, math.MaxInt, nil)
 	return p
 }
 
@@ -115,148 +59,145 @@ type HotSpot struct {
 	Direction string
 }
 
-// Supernodes returns vertices whose fan-in or fan-out is at least
-// minFan, the dense entry point of SupernodesOf.
-func Supernodes(m *Dense, minFan int) []HotSpot { return SupernodesOf(m, minFan) }
-
 // SupernodesOf returns vertices whose fan-in or fan-out is at least
 // minFan, sorted by decreasing fan then index: the "supernode"
 // concept from the paper's traffic-topologies module. A vertex can
-// appear twice, once per direction.
+// appear twice, once per direction; Packets counts its traffic in
+// that direction, self loops included.
 func SupernodesOf(m Matrix, minFan int) []HotSpot {
-	p := ProfileOf(m)
-	if p.N < 0 {
+	_, hubs := Summarize(m, minFan, nil)
+	return hubs
+}
+
+// Summarize walks a square matrix once and returns its Profile and
+// its supernodes at minFan (see SupernodesOf). The walk merges each
+// row of the matrix with the same row of its one Transpose, so every
+// linked ordered pair (i, j) — m[i][j] or m[j][i] non-zero — is seen
+// exactly once, in row-major increasing-column order, with
+// v = m[i][j] and r = m[j][i]; link, when non-nil, is called for each
+// such pair (the diagonal included, where v == r). A non-CSR input is
+// first copied into a CSR that reads each row once, and nothing is
+// ever looked up with At. Non-square matrices yield Profile{N: -1},
+// no supernodes, and no link calls.
+func Summarize(m Matrix, minFan int, link func(i, j, v, r int)) (Profile, []HotSpot) {
+	if m.Rows() != m.Cols() {
+		return Profile{N: -1}, nil
+	}
+	c := toCSR(m)
+	t := c.Transpose()
+	n := c.rows
+	// One slab holds the four per-host tallies and the fan buckets
+	// of the supernode sort; the full slice expressions keep an
+	// append to one from overwriting the next.
+	tally := make([]int, 5*n+1)
+	p := Profile{N: n, OutFan: tally[:n:n], InFan: tally[n : 2*n : 2*n], Symmetric: true}
+	outSum, inSum, buckets := tally[2*n:3*n:3*n], tally[3*n:4*n:4*n], tally[4*n:]
+	for i := 0; i < n; i++ {
+		a, aEnd := c.rowPtr[i], c.rowPtr[i+1]
+		b, bEnd := t.rowPtr[i], t.rowPtr[i+1]
+		for a < aEnd || b < bEnd {
+			var j, v, r int
+			switch {
+			case b == bEnd || (a < aEnd && c.colIdx[a] < t.colIdx[b]):
+				j, v = c.colIdx[a], c.vals[a]
+				a++
+			case a == aEnd || t.colIdx[b] < c.colIdx[a]:
+				j, r = t.colIdx[b], t.vals[b]
+				b++
+			default:
+				j, v, r = c.colIdx[a], c.vals[a], t.vals[b]
+				a++
+				b++
+			}
+			if v != r {
+				p.Symmetric = false
+			}
+			if link != nil {
+				link(i, j, v, r)
+			}
+			if v == 0 {
+				continue
+			}
+			p.NNZ++
+			p.Sum += v
+			if v > p.MaxEntry {
+				p.MaxEntry = v
+			}
+			p.OutFan[i]++
+			p.InFan[j]++
+			outSum[i] += v
+			inSum[j] += v
+			if i == j {
+				p.DiagNNZ++
+			} else if i < j && r != 0 {
+				p.Reciprocal++
+			}
+		}
+	}
+	p.OffDiagNNZ = p.NNZ - p.DiagNNZ
+	for i := 0; i < n; i++ {
+		if p.OutFan[i] > p.MaxOutFan {
+			p.MaxOutFan = p.OutFan[i]
+		}
+		if p.InFan[i] > p.MaxInFan {
+			p.MaxInFan = p.InFan[i]
+		}
+		if p.OutFan[i] > 0 {
+			p.ActiveSources++
+		}
+		if p.InFan[i] > 0 {
+			p.ActiveDests++
+		}
+	}
+	return p, supernodes(p, outSum, inSum, buckets, minFan)
+}
+
+// supernodes lists the vertex directions with fan ≥ minFan ordered by
+// decreasing fan, then index, then direction ("in" before "out"): a
+// counting sort on fan, filled in index order, so no comparisons are
+// made. buckets is zeroed scratch of at least max fan + 1 entries.
+func supernodes(p Profile, outSum, inSum, buckets []int, minFan int) []HotSpot {
+	lo, hi := max(minFan, 0), max(p.MaxOutFan, p.MaxInFan)
+	if lo > hi {
 		return nil
 	}
-	rowSums := make([]int, p.N)
-	colSums := make([]int, p.N)
-	EachStored(m, func(i, j, v int) {
-		rowSums[i] += v
-		colSums[j] += v
-	})
-	var hits []HotSpot
 	for i := 0; i < p.N; i++ {
-		if p.OutFan[i] >= minFan {
-			hits = append(hits, HotSpot{Index: i, Fan: p.OutFan[i], Packets: rowSums[i], Direction: "out"})
+		if p.InFan[i] >= lo {
+			buckets[p.InFan[i]]++
 		}
-		if p.InFan[i] >= minFan {
-			hits = append(hits, HotSpot{Index: i, Fan: p.InFan[i], Packets: colSums[i], Direction: "in"})
+		if p.OutFan[i] >= lo {
+			buckets[p.OutFan[i]]++
 		}
 	}
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Fan != hits[b].Fan {
-			return hits[a].Fan > hits[b].Fan
+	// buckets[f] becomes the position of the first hit with fan f.
+	pos := 0
+	for f := hi; f >= lo; f-- {
+		buckets[f], pos = pos, pos+buckets[f]
+	}
+	if pos == 0 {
+		return nil
+	}
+	hits := make([]HotSpot, pos)
+	for i := 0; i < p.N; i++ {
+		if f := p.InFan[i]; f >= lo {
+			hits[buckets[f]] = HotSpot{Index: i, Fan: f, Packets: inSum[i], Direction: "in"}
+			buckets[f]++
 		}
-		if hits[a].Index != hits[b].Index {
-			return hits[a].Index < hits[b].Index
+		if f := p.OutFan[i]; f >= lo {
+			hits[buckets[f]] = HotSpot{Index: i, Fan: f, Packets: outSum[i], Direction: "out"}
+			buckets[f]++
 		}
-		return hits[a].Direction < hits[b].Direction
-	})
+	}
 	return hits
 }
 
-// IsolatedPairs returns the unordered pairs {i,j} that exchange
-// traffic only with each other, the dense entry point of
-// IsolatedPairsOf.
-func IsolatedPairs(m *Dense) [][2]int { return IsolatedPairsOf(m) }
-
-// IsolatedPairsOf returns the unordered pairs {i,j} that exchange
-// traffic only with each other (their entire fan is the pair), the
-// paper's "isolated links" topology. Self loops are ignored. The
-// sparse formulation tracks each vertex's unique off-diagonal peer
-// in one pass over the stored entries — O(nnz + n) instead of the
-// dense O(n³) pair scan.
-func IsolatedPairsOf(m Matrix) [][2]int {
-	if m.Rows() != m.Cols() {
-		return nil
+// toCSR returns m itself when it is a CSR and otherwise builds one
+// from its stored entries, reading each row once.
+func toCSR(m Matrix) *CSR {
+	if c, ok := m.(*CSR); ok {
+		return c
 	}
-	n := m.Rows()
-	const (
-		noPeer   = -1
-		manyPeer = -2
-	)
-	// peer[v] is v's sole off-diagonal counterparty (either
-	// direction), or manyPeer once a second one appears.
-	peer := make([]int, n)
-	for i := range peer {
-		peer[i] = noPeer
-	}
-	note := func(v, other int) {
-		switch peer[v] {
-		case noPeer:
-			peer[v] = other
-		case other:
-		default:
-			peer[v] = manyPeer
-		}
-	}
-	EachStored(m, func(i, j, _ int) {
-		if i == j {
-			return
-		}
-		note(i, j)
-		note(j, i)
-	})
-	var pairs [][2]int
-	for i := 0; i < n; i++ {
-		if j := peer[i]; j > i && peer[j] == i {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	return pairs
-}
-
-// DegreeHistogram returns the unweighted degree distribution, the
-// dense entry point of DegreeHistogramOf.
-func DegreeHistogram(m *Dense) []int { return DegreeHistogramOf(m) }
-
-// DegreeHistogramOf returns counts[k] = number of vertices with
-// unweighted total degree k (in-fan + out-fan). The multi-temporal
-// analysis literature the paper cites studies exactly these degree
-// distributions.
-func DegreeHistogramOf(m Matrix) []int {
-	p := ProfileOf(m)
-	if p.N < 0 {
-		return nil
-	}
-	maxDeg := 0
-	degs := make([]int, p.N)
-	for i := 0; i < p.N; i++ {
-		degs[i] = p.OutFan[i] + p.InFan[i]
-		if degs[i] > maxDeg {
-			maxDeg = degs[i]
-		}
-	}
-	counts := make([]int, maxDeg+1)
-	for _, d := range degs {
-		counts[d]++
-	}
-	return counts
-}
-
-// TopLinks returns the k heaviest links, the dense entry point of
-// TopLinksOf.
-func TopLinks(m *Dense, k int) []Entry { return TopLinksOf(m, k) }
-
-// TopLinksOf returns the k heaviest (row, col, value) triples in
-// decreasing value order (ties broken by row then col). Useful for
-// "which link dominates this matrix?" quiz content.
-func TopLinksOf(m Matrix, k int) []Entry {
-	all := make([]Entry, 0, m.NNZ())
-	EachStored(m, func(i, j, v int) {
-		all = append(all, Entry{Row: i, Col: j, Val: v})
-	})
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Val != all[b].Val {
-			return all[a].Val > all[b].Val
-		}
-		if all[a].Row != all[b].Row {
-			return all[a].Row < all[b].Row
-		}
-		return all[a].Col < all[b].Col
-	})
-	if k < len(all) {
-		all = all[:k]
-	}
-	return all
+	c := NewCOO(m.Rows(), m.Cols())
+	EachStored(m, c.Add)
+	return c.ToCSR()
 }

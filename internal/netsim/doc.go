@@ -43,10 +43,11 @@
 //   - beacon: covert C2 beaconing — a single light periodic
 //     blue→red link.
 //
-// patterns.ClassifyBehavior recognizes the four extended shapes;
-// patterns.ClassifyTopology, ClassifyAttackStage, and ClassifyDDoS
-// cover the originals; patterns.ClassifyMixtureOf scores all eight
-// at once for composed traffic.
+// patterns.ClassifyBehaviorOf recognizes the four extended shapes;
+// patterns.ClassifyTopologyOf, ClassifyAttackStageOf, and
+// ClassifyDDoSOf cover the originals; patterns.ClassifyMixtureOf
+// scores all eight at once for composed traffic. patterns.Analyze
+// takes every reading but the DDoS one from a single walk.
 //
 // # Composition algebra
 //

@@ -142,7 +142,7 @@ func TestNewScenarioShapesClassify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, conf := patterns.ClassifyBehavior(csr.ToDense(), zones)
+		got, conf := patterns.ClassifyBehaviorOf(csr.ToDense(), zones)
 		if got != behavior {
 			t.Errorf("%s classified as %v (%.2f), want %v", name, got, conf, behavior)
 		}
@@ -156,7 +156,7 @@ func TestNewScenarioShapesClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind := patterns.ClassifyTopology(csr.ToDense(), zones); kind != patterns.TopologyInternalSupernode {
+	if kind := patterns.ClassifyTopologyOf(csr.ToDense(), zones); kind != patterns.TopologyInternalSupernode {
 		t.Errorf("flashcrowd topology = %v, want internal supernode", kind)
 	}
 }

@@ -5,11 +5,11 @@ import (
 )
 
 // Behavior classification for the extended netsim catalog: where
-// ClassifyTopology, ClassifyAttackStage, and ClassifyDDoS recognize
-// the paper's original module shapes, ClassifyBehavior recognizes
-// the live-traffic behaviours the concurrent scenario engine adds —
-// worm propagation, data exfiltration, flash crowds, and C2
-// beaconing — from their aggregate traffic matrices.
+// ClassifyTopologyOf, ClassifyAttackStageOf, and ClassifyDDoSOf
+// recognize the paper's original module shapes, ClassifyBehaviorOf
+// recognizes the live-traffic behaviours the concurrent scenario
+// engine adds — worm propagation, data exfiltration, flash crowds,
+// and C2 beaconing — from their aggregate traffic matrices.
 
 // Behavior enumerates the extended-catalog traffic behaviours.
 type Behavior int
@@ -48,7 +48,7 @@ var Behaviors = []Behavior{
 	BehaviorWorm, BehaviorExfiltration, BehaviorFlashCrowd, BehaviorBeaconing,
 }
 
-// ClassifyBehavior returns the extended-catalog behaviour whose
+// ClassifyBehaviorOf returns the extended-catalog behaviour whose
 // signature best explains the off-diagonal traffic, with the
 // explained packet fraction as confidence. Each behaviour gates on
 // the structural feature that separates it from its neighbours:
@@ -65,99 +65,59 @@ var Behaviors = []Behavior{
 //     are lighter than the inbound crowd);
 //   - beaconing needs blue→red traffic outweighing any red→blue
 //     tasking replies.
-func ClassifyBehavior(m *matrix.Dense, z Zones) (Behavior, float64) {
-	return ClassifyBehaviorOf(m, z)
+//
+// It reads one summary of m (see Analyze), so a CSR aggregated by the
+// concurrent scenario engine classifies with no dense
+// materialization.
+func ClassifyBehaviorOf(m matrix.Matrix, z Zones) (Behavior, float64) {
+	return summarize(m, z).behavior()
 }
 
-// ClassifyBehaviorOf is ClassifyBehavior over the read-only accessor
-// interface: it visits only stored entries, so a CSR aggregated by
-// the concurrent scenario engine classifies in O(nnz·log deg) with
-// no dense materialization.
-func ClassifyBehaviorOf(m matrix.Matrix, z Zones) (Behavior, float64) {
-	if m.Rows() != m.Cols() || m.Rows() != z.N || m.NNZ() == 0 {
+// behavior is the ClassifyBehaviorOf reading of the summary.
+func (s *summary) behavior() (Behavior, float64) {
+	if !s.fitsZones || s.total == 0 {
 		return BehaviorUnknown, 0
 	}
-	n := m.Rows()
-	total := 0
-	zonePackets := map[[2]Zone]int{}
-	inPackets := make([]int, n) // off-diagonal inbound packets per column
-	inFan := make([]int, n)     // distinct off-diagonal sources per column
-	blueBlueDsts := map[int]bool{}
-	reciprocated := 0                // reciprocated blue→blue packet volume
-	bgRow, bgCol, bgVal := -1, -1, 0 // heaviest blue→grey cell
-	matrix.EachStored(m, func(i, j, v int) {
-		if i == j {
-			return
-		}
-		zi, zj := z.Of(i), z.Of(j)
-		total += v
-		zonePackets[[2]Zone{zi, zj}] += v
-		inPackets[j] += v
-		inFan[j]++
-		if zi == ZoneBlue && zj == ZoneBlue {
-			blueBlueDsts[j] = true
-			if m.At(j, i) != 0 {
-				reciprocated += v
-			}
-		}
-		if zi == ZoneBlue && zj == ZoneGrey && v > bgVal {
-			bgRow, bgCol, bgVal = i, j, v
-		}
-	})
-	if total == 0 {
-		return BehaviorUnknown, 0
-	}
-	score := map[Behavior]float64{}
+	var score [len(behaviorNames)]float64
 
 	// Flash crowd: the busiest qualifying blue hub, scored by the
 	// packets it exchanges (crowd in plus replies out).
 	hub := -1
-	for j := 0; j < n; j++ {
-		if z.Of(j) != ZoneBlue || inFan[j] < SupernodeFanThreshold {
+	for j, h := range s.hosts {
+		if s.zones.Of(j) != ZoneBlue || h.inFan < SupernodeFanThreshold {
 			continue
 		}
-		if hub == -1 || inPackets[j] > inPackets[hub] {
+		if hub == -1 || h.inPackets > s.hosts[hub].inPackets {
 			hub = j
 		}
 	}
 	if hub >= 0 {
-		exchanged := inPackets[hub]
-		m.Row(hub, func(j, v int) {
-			if j != hub {
-				exchanged += v
-			}
-		})
-		score[BehaviorFlashCrowd] = float64(exchanged) / float64(total)
+		score[BehaviorFlashCrowd] = s.frac(s.hosts[hub].inPackets + s.hosts[hub].outPackets)
 	}
 
 	// Worm: spreading blue→blue plus the red→blue seed. The cascade
 	// must be predominantly unreciprocated — benign blue chatter and
 	// lateral-movement scripts answer back, an infection push does
 	// not.
-	if len(blueBlueDsts) >= 2 {
-		spread := zonePackets[[2]Zone{ZoneBlue, ZoneBlue}] + zonePackets[[2]Zone{ZoneRed, ZoneBlue}]
-		if 2*reciprocated <= spread {
-			score[BehaviorWorm] = float64(spread) / float64(total)
-		}
+	if spread, ok := s.wormSpread(); ok {
+		score[BehaviorWorm] = s.frac(spread)
 	}
 
 	// Exfiltration: the dominant blue→grey cell, gated on ≥4×
 	// volume asymmetry against its reverse.
-	if bgVal > 0 && m.At(bgCol, bgRow) <= bgVal/4 {
-		score[BehaviorExfiltration] = float64(bgVal) / float64(total)
+	if s.bgVal > 0 && s.bgRev <= s.bgVal/4 {
+		score[BehaviorExfiltration] = s.frac(s.bgVal)
 	}
 
 	// Beaconing: blue→red with at most symmetric tasking back.
-	br := zonePackets[[2]Zone{ZoneBlue, ZoneRed}]
-	rb := zonePackets[[2]Zone{ZoneRed, ZoneBlue}]
-	if br > 0 && rb <= br {
-		score[BehaviorBeaconing] = float64(br+rb) / float64(total)
+	if volume, ok := s.beaconCarrier(); ok {
+		score[BehaviorBeaconing] = s.frac(volume)
 	}
 
 	best, bestScore := BehaviorUnknown, 0.0
 	for _, b := range Behaviors {
-		if s := score[b]; s > bestScore {
-			best, bestScore = b, s
+		if score[b] > bestScore {
+			best, bestScore = b, score[b]
 		}
 	}
 	return best, bestScore

@@ -71,17 +71,16 @@ func newUndirected(m *matrix.Dense) *undirected {
 	for i := range u.adj {
 		u.adj[i] = make([]bool, n)
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if m.At(i, j) != 0 || m.At(j, i) != 0 {
-				u.adj[i][j] = true
-				u.adj[j][i] = true
-				u.degree[i]++
-				u.degree[j]++
-				u.edges++
-			}
+	matrix.EachStored(m, func(i, j, _ int) {
+		if i == j || u.adj[i][j] {
+			return
 		}
-	}
+		u.adj[i][j] = true
+		u.adj[j][i] = true
+		u.degree[i]++
+		u.degree[j]++
+		u.edges++
+	})
 	for i := 0; i < n; i++ {
 		if u.degree[i] > 0 {
 			u.active = append(u.active, i)
@@ -191,25 +190,12 @@ func ClassifyGraph(m *matrix.Dense) GraphKind {
 	if !m.IsSquare() || m.NNZ() == 0 {
 		return GraphUnknown
 	}
+	u := newUndirected(m)
 	// Self loop: every non-zero cell sits on the diagonal.
-	diagOnly := true
-	for i := 0; i < m.Rows() && diagOnly; i++ {
-		for j := 0; j < m.Cols(); j++ {
-			if i != j && m.At(i, j) != 0 {
-				diagOnly = false
-				break
-			}
-		}
-	}
-	if diagOnly {
+	if u.edges == 0 {
 		return GraphSelfLoop
 	}
-
-	u := newUndirected(m)
 	k := len(u.active)
-	if k == 0 {
-		return GraphUnknown
-	}
 
 	// Triangle: exactly three mutually linked vertices. Checked
 	// before clique so K₃ reads as the triangle lesson.
@@ -317,60 +303,41 @@ func (k TopologyKind) String() string {
 // a vertex a supernode rather than an ordinary busy host.
 const SupernodeFanThreshold = 3
 
-// ClassifyTopology identifies which Fig 6 topology a traffic matrix
-// shows, using zones to split internal from external supernodes.
-func ClassifyTopology(m *matrix.Dense, z Zones) TopologyKind {
-	return ClassifyTopologyOf(m, z)
+// ClassifyTopologyOf identifies which Fig 6 topology a traffic
+// matrix shows, using zones to split internal from external
+// supernodes. It reads one summary of m (see Analyze).
+func ClassifyTopologyOf(m matrix.Matrix, z Zones) TopologyKind {
+	return summarize(m, z).topology()
 }
 
-// ClassifyTopologyOf is ClassifyTopology over the read-only accessor
-// interface, visiting only stored entries.
-func ClassifyTopologyOf(m matrix.Matrix, z Zones) TopologyKind {
-	if m.Rows() != m.Cols() || m.Rows() != z.N || m.NNZ() == 0 {
+// topology is the ClassifyTopologyOf reading of the summary: the
+// busiest host by distinct counterparties (either direction) is the
+// supernode candidate, and reciprocity decides isolated versus
+// single links.
+func (s *summary) topology() TopologyKind {
+	if !s.fitsZones {
 		return TopologyUnknown
 	}
-	n := m.Rows()
-	// peers[v] is the set of distinct off-diagonal counterparties.
-	peers := make([]map[int]bool, n)
-	reciprocalOnly := true
-	anyReciprocal := false
-	matrix.EachStored(m, func(i, j, _ int) {
-		if i == j {
-			return
-		}
-		if peers[i] == nil {
-			peers[i] = make(map[int]bool)
-		}
-		if peers[j] == nil {
-			peers[j] = make(map[int]bool)
-		}
-		peers[i][j] = true
-		peers[j][i] = true
-		if m.At(j, i) != 0 {
-			anyReciprocal = true
-		} else {
-			reciprocalOnly = false
-		}
-	})
 	maxFan, hub := 0, -1
 	allFanOne := true
-	for v := 0; v < n; v++ {
-		fan := len(peers[v])
-		if fan > maxFan {
-			maxFan, hub = fan, v
+	for v, h := range s.hosts {
+		if h.peers > maxFan {
+			maxFan, hub = h.peers, v
 		}
-		if fan > 1 {
+		if h.peers > 1 {
 			allFanOne = false
 		}
 	}
 	if maxFan >= SupernodeFanThreshold {
-		if z.Of(hub) == ZoneBlue {
+		if s.zones.Of(hub) == ZoneBlue {
 			return TopologyInternalSupernode
 		}
 		return TopologyExternalSupernode
 	}
 	if allFanOne {
-		if reciprocalOnly && anyReciprocal {
+		// Each reciprocated pair holds two off-diagonal cells.
+		anyReciprocal := s.profile.Reciprocal > 0
+		if anyReciprocal && 2*s.profile.Reciprocal == s.profile.OffDiagNNZ {
 			return TopologyIsolatedLinks
 		}
 		if !anyReciprocal {
@@ -381,24 +348,12 @@ func ClassifyTopologyOf(m matrix.Matrix, z Zones) TopologyKind {
 }
 
 // zoneCount is the number of Zone values (blue, grey, red), sizing
-// the flow-count table below.
+// the summary's zone-pair tables.
 const zoneCount = 3
 
-// zoneFlowCells tallies the stored non-zero cells of m by
-// (source zone, destination zone) in one scan, plus the total cell
-// count. Every signature-fraction classifier reads from this one
-// table, so scoring k candidate signatures costs one matrix walk
-// instead of k.
-func zoneFlowCells(m matrix.Matrix, z Zones) (counts [zoneCount][zoneCount]int, total int) {
-	matrix.EachStored(m, func(i, j, _ int) {
-		counts[z.Of(i)][z.Of(j)]++
-		total++
-	})
-	return counts, total
-}
-
-// signatureFraction is flowFraction over a precomputed zone-pair
-// table: the fraction of cells whose zone pair is in the signature.
+// signatureFraction is the fraction of the cells in a zone-pair
+// table whose pair is in the signature. Every signature classifier
+// scores all its candidates from the summary's one table.
 func signatureFraction(counts [zoneCount][zoneCount]int, total int, signature map[[2]Zone]bool) float64 {
 	if total == 0 {
 		return 0
@@ -410,14 +365,6 @@ func signatureFraction(counts [zoneCount][zoneCount]int, total int, signature ma
 	return float64(hits) / float64(total)
 }
 
-// flowFraction returns the fraction of non-zero cells whose
-// (source zone, destination zone) pair is in the signature set. It
-// walks only stored entries through the accessor interface.
-func flowFraction(m matrix.Matrix, z Zones, signature map[[2]Zone]bool) float64 {
-	counts, total := zoneFlowCells(m, z)
-	return signatureFraction(counts, total, signature)
-}
-
 // attackSignatures maps each stage to the zone flows that
 // characterize it.
 var attackSignatures = map[AttackStage]map[[2]Zone]bool{
@@ -427,22 +374,20 @@ var attackSignatures = map[AttackStage]map[[2]Zone]bool{
 	StageLateral:      {{ZoneBlue, ZoneBlue}: true},
 }
 
-// ClassifyAttackStage returns the attack stage whose signature flows
-// explain the largest fraction of the matrix's links, with that
-// fraction as a confidence. Pure single-stage matrices score 1.0;
-// a combined campaign scores the dominant stage lower.
-func ClassifyAttackStage(m *matrix.Dense, z Zones) (AttackStage, float64) {
-	return ClassifyAttackStageOf(m, z)
+// ClassifyAttackStageOf returns the attack stage whose signature
+// flows explain the largest fraction of the matrix's links, with that
+// fraction as a confidence. Pure single-stage matrices score 1.0; a
+// combined campaign scores the dominant stage lower. All four stage
+// signatures score from the summary's one zone-pair table.
+func ClassifyAttackStageOf(m matrix.Matrix, z Zones) (AttackStage, float64) {
+	return summarize(m, z).attackStage()
 }
 
-// ClassifyAttackStageOf is ClassifyAttackStage over the read-only
-// accessor interface. All four stage signatures score from one
-// zone-pair tally, so a window classifies in a single O(nnz) scan.
-func ClassifyAttackStageOf(m matrix.Matrix, z Zones) (AttackStage, float64) {
-	counts, total := zoneFlowCells(m, z)
+// attackStage is the ClassifyAttackStageOf reading of the summary.
+func (s *summary) attackStage() (AttackStage, float64) {
 	best, bestScore := StagePlanning, -1.0
 	for _, stage := range AttackStages {
-		if score := signatureFraction(counts, total, attackSignatures[stage]); score > bestScore {
+		if score := signatureFraction(s.cells, s.profile.NNZ, attackSignatures[stage]); score > bestScore {
 			best, bestScore = stage, score
 		}
 	}
@@ -460,25 +405,20 @@ var postureSignatures = map[Posture]map[[2]Zone]bool{
 // whose signature flows best explain the matrix, with the explained
 // fraction as confidence.
 func ClassifyPosture(m *matrix.Dense, z Zones) (Posture, float64) {
-	counts, total := zoneFlowCells(m, z)
+	s := summarize(m, z)
 	best, bestScore := PostureSecurity, -1.0
 	for _, p := range Postures {
-		if score := signatureFraction(counts, total, postureSignatures[p]); score > bestScore {
+		if score := signatureFraction(s.cells, s.profile.NNZ, postureSignatures[p]); score > bestScore {
 			best, bestScore = p, score
 		}
 	}
 	return best, bestScore
 }
 
-// ClassifyDDoS returns the DDoS component that best explains the
+// ClassifyDDoSOf returns the DDoS component that best explains the
 // matrix given the cast of the attack, with the explained fraction
-// as confidence.
-func ClassifyDDoS(m *matrix.Dense, roles DDoSRoles) (DDoSComponent, float64) {
-	return ClassifyDDoSOf(m, roles)
-}
-
-// ClassifyDDoSOf is ClassifyDDoS over the read-only accessor
-// interface: one pass over the stored entries tallies every
+// as confidence. It is its own walk, since it reads the roles rather
+// than the zones: one pass over the stored entries tallies every
 // component's hits, so a CSR window classifies in O(nnz) with no
 // dense materialization.
 func ClassifyDDoSOf(m matrix.Matrix, roles DDoSRoles) (DDoSComponent, float64) {

@@ -1,13 +1,14 @@
 package patterns
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/matrix"
 )
 
 // Mixture-aware classification for the composition algebra: where
-// ClassifyBehavior and ClassifyTopology each pick ONE best reading,
+// ClassifyBehaviorOf and ClassifyTopologyOf each pick ONE best reading,
 // real (and composed) traffic layers several shapes at once — a scan
 // on top of background chatter, a DDoS following a worm.
 // ClassifyMixtureOf scores every catalog shape independently against
@@ -43,11 +44,23 @@ const MinMixtureScore = 0.05
 // fall outside it.
 const balanceRatio = 3
 
-// mixtureLabels fixes the vocabulary and its tie-break order.
-var mixtureLabels = []string{
+// mixtureLabels fixes the vocabulary and its tie-break order; the
+// mix… constants index it.
+var mixtureLabels = [...]string{
 	"background", "scan", "attack", "ddos",
 	"worm", "exfil", "flashcrowd", "beacon",
 }
+
+const (
+	mixBackground = iota
+	mixScan
+	mixAttack
+	mixDDoS
+	mixWorm
+	mixExfil
+	mixFlashCrowd
+	mixBeacon
+)
 
 // ClassifyMixtureOf scores every catalog shape against the matrix and
 // returns the components above MinMixtureScore, strongest first (ties
@@ -81,102 +94,44 @@ var mixtureLabels = []string{
 //   - beacon: light blue→red carrier with at most symmetric tasking
 //     replies (scored by cells as well as volume).
 func ClassifyMixtureOf(m matrix.Matrix, z Zones) []MixtureComponent {
-	scores := mixtureScores(m, z)
+	return summarize(m, z).mixture()
+}
+
+// mixture is the ClassifyMixtureOf reading of the summary.
+func (s *summary) mixture() []MixtureComponent {
+	scores := s.mixtureScores()
 	var out []MixtureComponent
-	for _, label := range mixtureLabels {
-		if s := scores[label]; s >= MinMixtureScore {
-			if s > 1 {
-				s = 1
-			}
-			out = append(out, MixtureComponent{Label: label, Score: s})
+	for k, label := range mixtureLabels {
+		if sc := scores[k]; sc >= MinMixtureScore {
+			out = append(out, MixtureComponent{Label: label, Score: min(sc, 1)})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	slices.SortStableFunc(out, func(a, b MixtureComponent) int { return cmp.Compare(b.Score, a.Score) })
 	return out
 }
 
-// ClassifyMixture is ClassifyMixtureOf for callers holding a *Dense,
-// mirroring the other classifier pairs.
-func ClassifyMixture(m *matrix.Dense, z Zones) []MixtureComponent {
-	return ClassifyMixtureOf(m, z)
-}
-
-// mixtureScores gathers the per-shape fractions in one pass over the
-// stored entries (plus At reciprocity lookups and one row re-visit
-// per candidate hub column).
-func mixtureScores(m matrix.Matrix, z Zones) map[string]float64 {
-	scores := map[string]float64{}
-	if m.Rows() != m.Cols() || m.Rows() != z.N || m.NNZ() == 0 {
+// mixtureScores scores every shape from the summary's tallies,
+// indexed like mixtureLabels.
+func (s *summary) mixtureScores() (scores [len(mixtureLabels)]float64) {
+	if !s.fitsZones || s.total == 0 {
 		return scores
 	}
-	n := m.Rows()
-
-	total := 0      // all off-diagonal packets
-	totalCells := 0 // all off-diagonal stored cells
-	zonePackets := map[[2]Zone]int{}
-	balancedBlue := 0             // balanced chatter volume touching blue space
-	scanPackets := make([]int, n) // per red row: unreciprocated red→blue volume
-	scanCells := make([]int, n)   // per red row: distinct unreciprocated blue targets
-	// unbalanced[j] maps each source pouring unbalanced traffic into
-	// column j to that traffic's volume (candidate flood/crowd arms).
-	unbalanced := make([]map[int]int, n)
-	blueBlueDsts := map[int]bool{}
-	recipBlueBlue := 0               // reciprocated blue→blue volume
-	bgRow, bgCol, bgVal := -1, -1, 0 // heaviest blue→grey cell
-
-	matrix.EachStored(m, func(i, j, v int) {
-		if i == j {
-			return
-		}
-		zi, zj := z.Of(i), z.Of(j)
-		total += v
-		totalCells++
-		zonePackets[[2]Zone{zi, zj}] += v
-		r := m.At(j, i)
-		balanced := r > 0 && v < balanceRatio*r && r < balanceRatio*v
-		if balanced && (zi == ZoneBlue || zj == ZoneBlue) && zi != ZoneRed && zj != ZoneRed {
-			balancedBlue += v
-		}
-		if !balanced && zj == ZoneBlue && v >= balanceRatio*r {
-			if unbalanced[j] == nil {
-				unbalanced[j] = make(map[int]int)
-			}
-			unbalanced[j][i] += v
-		}
-		if zi == ZoneBlue && zj == ZoneBlue {
-			blueBlueDsts[j] = true
-			if r != 0 {
-				recipBlueBlue += v
-			}
-		}
-		if zi == ZoneBlue && zj == ZoneGrey && v > bgVal {
-			bgRow, bgCol, bgVal = i, j, v
-		}
-		if zi == ZoneRed && zj == ZoneBlue && r == 0 {
-			scanPackets[i] += v
-			scanCells[i]++
-		}
-	})
-	if total == 0 {
-		return scores
-	}
-	frac := func(v int) float64 { return float64(v) / float64(total) }
-	cellFrac := func(c int) float64 { return float64(c) / float64(totalCells) }
+	cellFrac := func(c int) float64 { return float64(c) / float64(s.offCells) }
 
 	// background: balanced conversational volume in blue/grey space.
-	scores["background"] = frac(balancedBlue)
+	scores[mixBackground] = s.frac(s.balancedBlue)
 
 	// scan: every red row probing enough distinct blue targets
 	// contributes; light probes score by structure (cells) when the
 	// volume fraction undersells them.
 	scannedPkts, scannedCells := 0, 0
-	for i := 0; i < n; i++ {
-		if z.Of(i) == ZoneRed && scanCells[i] >= SupernodeFanThreshold {
-			scannedPkts += scanPackets[i]
-			scannedCells += scanCells[i]
+	for i, h := range s.hosts {
+		if s.zones.Of(i) == ZoneRed && h.scanCells >= SupernodeFanThreshold {
+			scannedPkts += h.scanPackets
+			scannedCells += h.scanCells
 		}
 	}
-	scores["scan"] = max(frac(scannedPkts), cellFrac(scannedCells))
+	scores[mixScan] = max(s.frac(scannedPkts), cellFrac(scannedCells))
 
 	// attack: balanced four-stage zone migration — 4× the weakest
 	// stage fraction, so a pure quarter-per-stage campaign scores 1
@@ -185,83 +140,50 @@ func mixtureScores(m matrix.Matrix, z Zones) map[string]float64 {
 	for _, stage := range AttackStages {
 		hits := 0
 		for pair := range attackSignatures[stage] {
-			hits += zonePackets[pair]
+			hits += s.packets[pair[0]][pair[1]]
 		}
-		if f := frac(hits); weakest < 0 || f < weakest {
+		if f := s.frac(hits); weakest < 0 || f < weakest {
 			weakest = f
 		}
 	}
 	if weakest > 0 {
-		scores["attack"] = 4 * weakest
+		scores[mixAttack] = 4 * weakest
 	}
 
 	// ddos and flashcrowd: both are unbalanced fan-in columns on a
 	// blue host; the source mix separates them — the flood arrives
-	// from outside blue space, the crowd mostly from inside it.
-	for j := 0; j < n; j++ {
-		arms := unbalanced[j]
-		if z.Of(j) != ZoneBlue || len(arms) < SupernodeFanThreshold {
+	// from outside blue space, the crowd mostly from inside it. The
+	// replies are the hub's traffic back to those sources: the
+	// crowd's acknowledgements, the flood's backscatter.
+	for j, h := range s.hosts {
+		if s.zones.Of(j) != ZoneBlue || h.arms < SupernodeFanThreshold {
 			continue
 		}
-		inVol, blueArms, nonBlueArms, nonBlueVol := 0, 0, 0, 0
-		for i, v := range arms {
-			inVol += v
-			if z.Of(i) == ZoneBlue {
-				blueArms++
-			} else {
-				nonBlueArms++
-				nonBlueVol += v
-			}
+		if h.arms-h.blueArms >= SupernodeFanThreshold {
+			flood := s.frac(h.nonBlueVol+h.replies) + s.frac(s.packets[ZoneRed][ZoneRed])
+			scores[mixDDoS] = max(scores[mixDDoS], flood)
 		}
-		// Replies out of the hub to its unbalanced sources: the
-		// crowd's acknowledgements, the flood's backscatter.
-		replies := 0
-		m.Row(j, func(k, v int) {
-			if _, ok := arms[k]; ok {
-				replies += v
-			}
-		})
-		if nonBlueArms >= SupernodeFanThreshold {
-			flood := frac(nonBlueVol+replies) + frac(zonePackets[[2]Zone{ZoneRed, ZoneRed}])
-			if flood > scores["ddos"] {
-				scores["ddos"] = flood
-			}
-		}
-		if 2*blueArms >= len(arms) {
-			crowd := frac(inVol + replies)
-			if crowd > scores["flashcrowd"] {
-				scores["flashcrowd"] = crowd
-			}
+		if 2*h.blueArms >= h.arms {
+			scores[mixFlashCrowd] = max(scores[mixFlashCrowd], s.frac(h.armVol+h.replies))
 		}
 	}
 
 	// worm: predominantly unreciprocated blue→blue spread plus the
 	// red→blue seed.
-	if len(blueBlueDsts) >= 2 {
-		spread := zonePackets[[2]Zone{ZoneBlue, ZoneBlue}] + zonePackets[[2]Zone{ZoneRed, ZoneBlue}]
-		if 2*recipBlueBlue <= spread {
-			scores["worm"] = frac(spread)
-		}
+	if spread, ok := s.wormSpread(); ok {
+		scores[mixWorm] = s.frac(spread)
 	}
 
 	// exfil: the dominant blue→grey cell, gated on asymmetry.
-	if bgVal > 0 && m.At(bgCol, bgRow) <= bgVal/balanceRatio {
-		scores["exfil"] = frac(bgVal)
+	if s.bgVal > 0 && s.bgRev <= s.bgVal/balanceRatio {
+		scores[mixExfil] = s.frac(s.bgVal)
 	}
 
 	// beacon: blue→red carrier with at most symmetric tasking back;
 	// a light covert channel scores by structure when volume
 	// undersells it.
-	br := zonePackets[[2]Zone{ZoneBlue, ZoneRed}]
-	rb := zonePackets[[2]Zone{ZoneRed, ZoneBlue}]
-	if br > 0 && rb <= br {
-		beaconCells := 0
-		matrix.EachStored(m, func(i, j, _ int) {
-			if z.Of(i) == ZoneBlue && z.Of(j) == ZoneRed {
-				beaconCells++
-			}
-		})
-		scores["beacon"] = max(frac(br+rb), cellFrac(beaconCells))
+	if volume, ok := s.beaconCarrier(); ok {
+		scores[mixBeacon] = max(s.frac(volume), cellFrac(s.cells[ZoneBlue][ZoneRed]))
 	}
 	return scores
 }
