@@ -79,10 +79,7 @@ type hostTally struct {
 
 // summarize tallies m against the zones in one walk.
 func summarize(m matrix.Matrix, z Zones) *summary {
-	s := &summary{zones: z}
-	if m.Rows() == m.Cols() {
-		s.hosts = make([]hostTally, m.Rows())
-	}
+	s := &summary{zones: z, hosts: make([]hostTally, m.Rows())}
 	s.profile, s.hubs = matrix.Summarize(m, SupernodeFanThreshold, s.link)
 	s.fitsZones = s.profile.N == z.N && s.profile.NNZ > 0
 	return s
